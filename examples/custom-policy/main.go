@@ -1,16 +1,16 @@
 // Custom policy composition: the pipeline API lets you mix assignment
 // stages without forking internals. This example builds a hybrid policy —
 // the cheap nearest-neighbour greedy batcher feeding the optimal
-// Kuhn–Munkres matcher — and runs it over an LRU-cached hub-label Router
-// instead of the default bounded-Dijkstra cache, then replays the same
-// dinner peak under stock FOODMATCH for comparison.
+// Kuhn–Munkres matcher — and runs it over a hub-label Router instead of the
+// default bounded-Dijkstra cache, then replays the same dinner peak under
+// stock FOODMATCH for comparison.
 //
 //	go run ./examples/custom-policy
 //
 // Expected shape: the hybrid trades some XDT (its batches are built by a
 // single greedy sweep, not Algorithm 1's merge clustering) for a simpler,
-// faster batching stage; the cached hub-label Router answers the pipeline's
-// repeated point-to-point queries with high hit rates.
+// faster batching stage; the hub-label Router answers the pipeline's
+// point-to-point queries exactly from precomputed labels.
 package main
 
 import (
@@ -42,8 +42,8 @@ func main() {
 		foodmatch.WithMatcher(foodmatch.NewKMMatcher()),
 	)
 
-	// The distance substrate: exact hub labels behind an LRU memo. One
-	// Router per simulator run (hub labels build per-slot indexes lazily).
+	// The distance substrate: exact hub labels. One Router per simulator
+	// run (hub labels build per-slot indexes lazily).
 	type run struct {
 		pol    foodmatch.Policy
 		router foodmatch.Router
@@ -51,7 +51,7 @@ func main() {
 	}
 	runs := []run{
 		{foodmatch.NewFoodMatch(), nil, "stock (bounded-Dijkstra cache)"},
-		{hybrid, foodmatch.NewCachedRouter(foodmatch.NewHubLabels(city.G), 1<<17), "cached hub labels"},
+		{hybrid, foodmatch.NewHubLabels(city.G), "hub labels"},
 	}
 
 	fmt.Printf("%s @ %.0f%% scale, dinner 19:00-21:00, %d road nodes\n\n",

@@ -29,15 +29,14 @@
 // The assignment round decomposes into four swappable stages — Batcher,
 // GraphSparsifier, Reshuffler, Matcher — composed with NewPipeline, and
 // every stage consumes network distances through one injected Router
-// (Dijkstra, bounded SSSP, hub labels, or an LRU-cached decorator):
+// (Dijkstra, bounded SSSP, hub labels, or CCH):
 //
 //	pol := foodmatch.NewPipeline(
 //		foodmatch.WithBatcher(foodmatch.NewGreedyBatcher(0)),
 //		foodmatch.WithMatcher(foodmatch.NewKMMatcher()),
 //	)
-//	router := foodmatch.NewCachedRouter(foodmatch.NewHubLabels(city.G), 1<<17)
 //	sim, _ := foodmatch.NewSimulator(city.G, orders, fleet, pol, cfg,
-//		foodmatch.SimOptions{Router: router})
+//		foodmatch.SimOptions{Router: foodmatch.NewHubLabels(city.G)})
 //
 // NewPipeline with no options is exactly NewFoodMatch. Long-running entry
 // points have context-aware variants (RunContext, StartContext,
@@ -92,13 +91,10 @@ type (
 	NodeID = roadnet.NodeID
 	// Point is a WGS-84 coordinate.
 	Point = geo.Point
-	// SPFunc is the shortest-path oracle signature. Every SPFunc is also a
-	// Router.
-	SPFunc = roadnet.SPFunc
-	// Router is the unified shortest-path substrate every pipeline stage,
-	// the simulator and the engine consume via injection. Backends:
-	// NewDijkstraRouter, NewBoundedRouter, NewHubLabels (hub labels), and
-	// the NewCachedRouter decorator.
+	// Router is the one travel-time oracle, SP(u, v, t): the only distance
+	// signature every pipeline stage, the simulator and the engine accept.
+	// Backends: NewDijkstraRouter, NewBoundedRouter, NewHubLabels /
+	// NewHubLabelRouter and NewCCHRouter.
 	Router = roadnet.Router
 	// City is a synthetic workload city.
 	City = workload.City
@@ -282,8 +278,8 @@ func NewKMMatcher() Matcher { return &pipeline.KMMatcher{} }
 // matcher (computes its own costs; pair with WithSparsifier(nil)).
 func NewGreedyMatcher() Matcher { return pipeline.GreedyMatcher{} }
 
-// Unified Router backends. Any SPFunc is also a Router, and NewHubLabels'
-// index implements Router directly (exact hub-label distances).
+// Router backends. NewHubLabels' index implements Router directly (exact
+// hub-label distances).
 
 // NewDijkstraRouter returns the exact per-query Dijkstra backend (safe for
 // concurrent use).
@@ -294,13 +290,6 @@ func NewDijkstraRouter(g *Graph) Router { return roadnet.NewDijkstraRouter(g) }
 // +Inf. Not safe for concurrent use.
 func NewBoundedRouter(g *Graph, boundSec float64) Router {
 	return roadnet.NewBoundedRouter(g, boundSec)
-}
-
-// NewCachedRouter decorates any Router with an LRU point-to-point memo of
-// at most capacity entries (safe for concurrent use; e.g. wrap NewHubLabels
-// for repeated within-window queries).
-func NewCachedRouter(inner Router, capacity int) Router {
-	return roadnet.NewLRURouter(inner, capacity)
 }
 
 // CityNames lists the Table II city presets.
@@ -558,9 +547,6 @@ type (
 	StreamLearnerOptions = gps.StreamOptions
 	// StreamLearnerStats is a learner throughput snapshot.
 	StreamLearnerStats = gps.StreamStats
-	// SwapHubLabels is the epoch-versioned hub-label index: rebuilds run
-	// asynchronously per slot while the previous epoch keeps serving.
-	SwapHubLabels = spindex.SwapIndex
 	// Scenario perturbs a city's true travel-time profile (rain, rush).
 	Scenario = workload.Scenario
 	// EngineRoadnetStatus is the engine's dynamic-road-network status
@@ -582,9 +568,6 @@ func NewSwapRouter(base *Graph, newRouter func(*Graph) Router) *SwapRouter {
 func NewStreamLearner(g *Graph, opt StreamLearnerOptions) *StreamLearner {
 	return gps.NewStreamLearner(g, opt)
 }
-
-// NewSwapHubLabels returns an epoch-versioned hub-label index over g.
-func NewSwapHubLabels(g *Graph) *SwapHubLabels { return spindex.NewSwapIndex(g) }
 
 // RainScenario returns a uniform all-day slowdown scenario.
 func RainScenario(mult float64) Scenario { return workload.Rain(mult) }

@@ -139,7 +139,7 @@ func TestHubLabelsFacade(t *testing.T) {
 		u := NodeID((i * 13) % n)
 		v := NodeID((i * 29) % n)
 		want := ShortestPath(city.G, u, v, 12*3600)
-		got := ix.Dist(u, v, 12*3600)
+		got := ix.Travel(u, v, 12*3600)
 		if math.Abs(got-want) > 1e-3 {
 			t.Fatalf("hub labels (%d->%d) = %v, Dijkstra = %v", u, v, got, want)
 		}

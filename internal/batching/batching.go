@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/roadnet"
+	"repro/internal/routing"
 )
 
 // Options configures a batching run.
@@ -91,9 +92,8 @@ func (h *edgeHeap) Pop() interface{} {
 
 // Run executes Algorithm 1 over the window's unassigned orders and returns
 // the order partition U1 (batches with their route plans). Distances come
-// from the injected Router (any roadnet.SPFunc is one).
+// from the injected Router.
 func Run(rt roadnet.Router, orders []*model.Order, opt Options) *Result {
-	sp := rt.Travel
 	res := &Result{}
 	if len(orders) == 0 {
 		return res
@@ -115,7 +115,7 @@ func Run(rt roadnet.Router, orders []*model.Order, opt Options) *Result {
 	nodes := make([]*batchNode, 0, len(orders))
 	sumCost := 0.0 // tracked (possibly age-neutralised) total batch cost
 	for _, o := range orders {
-		b, ok := singleton(sp, o, opt.Now)
+		b, ok := singleton(rt, o, opt.Now)
 		if !ok {
 			// An order whose own restaurant→customer leg is unreachable can
 			// never be routed; emit it as a degenerate batch so the caller's
@@ -147,7 +147,7 @@ func Run(rt roadnet.Router, orders []*model.Order, opt Options) *Result {
 	// Initial candidate edges.
 	for i := 0; i < len(nodes); i++ {
 		for j := i + 1; j < len(nodes); j++ {
-			pushEdge(sp, radii, h, nodes, i, j, opt)
+			pushEdge(rt, radii, h, nodes, i, j, opt)
 		}
 	}
 
@@ -166,7 +166,7 @@ func Run(rt roadnet.Router, orders []*model.Order, opt Options) *Result {
 		if (sumCost+e.w)/float64(liveCount-1) > opt.Eta {
 			break
 		}
-		merged, ok := mergeBatches(sp, ni.batch, nj.batch, opt.Now)
+		merged, ok := mergeBatches(rt, ni.batch, nj.batch, opt.Now)
 		if !ok {
 			continue
 		}
@@ -183,7 +183,7 @@ func Run(rt roadnet.Router, orders []*model.Order, opt Options) *Result {
 		// Connect the merged node to all live nodes.
 		for k := 0; k < mi; k++ {
 			if !nodes[k].dead {
-				pushEdge(sp, radii, h, nodes, k, mi, opt)
+				pushEdge(rt, radii, h, nodes, k, mi, opt)
 			}
 		}
 	}
@@ -200,12 +200,12 @@ func Run(rt roadnet.Router, orders []*model.Order, opt Options) *Result {
 // singleton builds the batch {o} with its (trivial) optimal route plan; the
 // simulated vehicle starts at the restaurant, so Cost is the wait-free XDT
 // baseline of delivering o alone (0 when prep dominates).
-func singleton(sp roadnet.SPFunc, o *model.Order, now float64) (*model.Batch, bool) {
+func singleton(rt roadnet.Router, o *model.Order, now float64) (*model.Batch, bool) {
 	plan := &model.RoutePlan{Stops: []model.Stop{
 		{Node: o.Restaurant, Order: o, Kind: model.Pickup},
 		{Node: o.Customer, Order: o, Kind: model.Dropoff},
 	}}
-	cost, ok := evalPlan(sp, o.Restaurant, now, plan)
+	cost, ok := routing.Evaluate(rt, o.Restaurant, now, plan)
 	if !ok {
 		return nil, false
 	}
@@ -254,7 +254,7 @@ func (t *radiusTable) dist(u, v roadnet.NodeID) float64 {
 // pushEdge evaluates the merge of nodes i and j and, when feasible, pushes
 // the candidate edge onto the heap. radii is non-nil iff opt.Radius is
 // finite.
-func pushEdge(sp roadnet.SPFunc, radii *radiusTable, h *edgeHeap, nodes []*batchNode, i, j int, opt Options) {
+func pushEdge(rt roadnet.Router, radii *radiusTable, h *edgeHeap, nodes []*batchNode, i, j int, opt Options) {
 	bi, bj := nodes[i].batch, nodes[j].batch
 	if len(bi.Orders)+len(bj.Orders) > opt.MaxO {
 		return
@@ -272,7 +272,7 @@ func pushEdge(sp roadnet.SPFunc, radii *radiusTable, h *edgeHeap, nodes []*batch
 			return
 		}
 	}
-	merged, ok := mergeBatches(sp, bi, bj, opt.Now)
+	merged, ok := mergeBatches(rt, bi, bj, opt.Now)
 	if !ok {
 		return
 	}
@@ -282,11 +282,11 @@ func pushEdge(sp roadnet.SPFunc, radii *radiusTable, h *edgeHeap, nodes []*batch
 
 // mergeBatches computes the batch π_i ∪ π_j with its optimal route plan,
 // the simulated vehicle starting at the merged plan's first pickup node.
-func mergeBatches(sp roadnet.SPFunc, bi, bj *model.Batch, now float64) (*model.Batch, bool) {
+func mergeBatches(rt roadnet.Router, bi, bj *model.Batch, now float64) (*model.Batch, bool) {
 	orders := make([]*model.Order, 0, len(bi.Orders)+len(bj.Orders))
 	orders = append(orders, bi.Orders...)
 	orders = append(orders, bj.Orders...)
-	plan, cost, ok := optimizeFromFirstPickup(sp, now, orders)
+	plan, cost, ok := optimizeFromFirstPickup(rt, now, orders)
 	if !ok {
 		return nil, false
 	}
@@ -298,7 +298,7 @@ func mergeBatches(sp roadnet.SPFunc, bi, bj *model.Batch, now float64) (*model.B
 // of the plan (Section IV-B1: "the initial location of each simulated
 // vehicle is the first location in the optimal route plan"), so every
 // order's restaurant is tried as the start.
-func optimizeFromFirstPickup(sp roadnet.SPFunc, now float64, orders []*model.Order) (*model.RoutePlan, float64, bool) {
+func optimizeFromFirstPickup(rt roadnet.Router, now float64, orders []*model.Order) (*model.RoutePlan, float64, bool) {
 	bestCost := math.Inf(1)
 	var bestPlan *model.RoutePlan
 	tried := make(map[roadnet.NodeID]bool, len(orders))
@@ -308,7 +308,7 @@ func optimizeFromFirstPickup(sp roadnet.SPFunc, now float64, orders []*model.Ord
 			continue
 		}
 		tried[start] = true
-		plan, cost, ok := optimizeFixedStart(sp, start, now, orders)
+		plan, cost, ok := routing.Optimize(rt, start, now, nil, orders)
 		if ok && cost < bestCost {
 			bestCost = cost
 			bestPlan = plan

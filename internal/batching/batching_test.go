@@ -13,7 +13,7 @@ import (
 
 // lineGraph builds a bidirectional path graph 0-1-2-...-(n-1) with unit edge
 // time w seconds per hop.
-func lineGraph(n int, w float64) (*roadnet.Graph, roadnet.SPFunc) {
+func lineGraph(n int, w float64) (*roadnet.Graph, roadnet.Router) {
 	b := roadnet.NewBuilder()
 	for i := 0; i < n; i++ {
 		b.AddNode(geo.Point{Lat: float64(i) * 0.001})
@@ -23,10 +23,10 @@ func lineGraph(n int, w float64) (*roadnet.Graph, roadnet.SPFunc) {
 		b.AddEdge(roadnet.NodeID(i+1), roadnet.NodeID(i), w*10, w, 0)
 	}
 	g := b.MustBuild()
-	return g, roadnet.NewDistCache(g, math.Inf(1)).AsFunc()
+	return g, roadnet.NewBoundedRouter(g, math.Inf(1))
 }
 
-func mkOrder(sp roadnet.SPFunc, id model.OrderID, r, c roadnet.NodeID, prep float64) *model.Order {
+func mkOrder(sp roadnet.Router, id model.OrderID, r, c roadnet.NodeID, prep float64) *model.Order {
 	o := &model.Order{ID: id, Restaurant: r, Customer: c, PlacedAt: 0, Items: 1, Prep: prep}
 	o.SDT = routing.SDT(sp, o)
 	return o
@@ -253,7 +253,7 @@ func TestUnreachableOrderSurvivesAsDegenerateBatch(t *testing.T) {
 	v := b.AddNode(geo.Point{Lat: 1})
 	b.AddEdge(v, u, 10, 10, 0) // only v -> u
 	g := b.MustBuild()
-	sp := roadnet.NewDistCache(g, math.Inf(1)).AsFunc()
+	sp := roadnet.NewBoundedRouter(g, math.Inf(1))
 	o := &model.Order{ID: 1, Restaurant: u, Customer: v, PlacedAt: 0, Items: 1}
 	o.SDT = math.Inf(1)
 	res := Run(sp, []*model.Order{o}, defaultOpts())

@@ -10,7 +10,7 @@ import (
 )
 
 // benchOrders builds a reproducible pool of n orders on a line city.
-func benchOrders(n int) (roadnet.SPFunc, []*model.Order) {
+func benchOrders(n int) (roadnet.Router, []*model.Order) {
 	_, sp := lineGraph(120, 20)
 	rng := rand.New(rand.NewSource(99))
 	var orders []*model.Order

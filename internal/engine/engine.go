@@ -109,9 +109,9 @@ type Config struct {
 	// NewRouter constructs the shortest-path backend one zone shard's
 	// pipeline consumes (called once per shard, so instances need not be
 	// safe for concurrent use). Nil defaults to a bounded-SSSP distance
-	// cache capped at SPBound — swap in hub labels, plain Dijkstra or an
-	// LRU decorator per workload. SDT metric queries always use an internal
-	// bounded cache regardless.
+	// cache capped at SPBound — swap in hub labels, CCH or plain Dijkstra
+	// per workload. SDT metric queries always use an internal bounded cache
+	// regardless.
 	NewRouter func(g *roadnet.Graph) roadnet.Router
 	// Workers bounds the goroutines advancing vehicle movement between
 	// rounds; 0 defaults to GOMAXPROCS. The budget is split across zone
@@ -494,7 +494,7 @@ func New(g *roadnet.Graph, fleet []*model.Vehicle, cfg Config) (*Engine, error) 
 			pol:     cfg.NewPolicy(),
 			router:  roadnet.NewSwapRouter(decG, cfg.NewRouter),
 			slot:    -1,
-			sdt:     roadnet.NewDistCache(g, cfg.SPBound),
+			sdt:     roadnet.NewBoundedRouter(g, cfg.SPBound),
 			sdtSlot: -1,
 		}
 		// Each shard advances its own vehicles with its own mover: the

@@ -59,10 +59,12 @@ func TestRoundPipelineStats(t *testing.T) {
 }
 
 // TestEngineCustomRouter swaps the per-shard Router backend via the single
-// NewRouter option and checks the replay still assigns (hub labels are
-// exact, so decisions are unchanged vs the default bounded cache within
-// the city's diameter; the engine-vs-simulator identity test covers exact
-// decision equality for the default).
+// NewRouter option and checks the replay still assigns. The backend is a
+// Dijkstra closure behind the SPFunc adapter — neither a ManyRouter nor
+// Kinded — so the engine's per-pair TravelMany fallback and %T router-kind
+// fallback run (Dijkstra is exact, so decisions are unchanged vs the default
+// bounded cache within the city's diameter; the engine-vs-simulator identity
+// test covers exact decision equality for the default).
 func TestEngineCustomRouter(t *testing.T) {
 	city := testCityB
 	start, end := 18.0*3600, 19.0*3600
@@ -78,10 +80,10 @@ func TestEngineCustomRouter(t *testing.T) {
 		Pipeline: testConfig(),
 		Shards:   1,
 		NewRouter: func(g *roadnet.Graph) roadnet.Router {
-			return roadnet.NewLRURouter(roadnet.NewDijkstraRouter(g), 1<<16)
+			return roadnet.SPFunc(roadnet.NewDijkstraRouter(g).Travel)
 		},
 	}, start, end)
 	if got := custom.Snapshot().Assigned; got != baseAssigned {
-		t.Fatalf("LRU-Dijkstra router assigned %d, default assigned %d", got, baseAssigned)
+		t.Fatalf("SPFunc(Dijkstra) router assigned %d, default assigned %d", got, baseAssigned)
 	}
 }

@@ -452,7 +452,6 @@ func (e *Engine) runRound(ctx context.Context, t0, now, drainSec float64) RoundS
 		Mover:   e.mover,
 		Cfg:     cfg,
 		Trace:   e.cfg.Trace,
-		SPFor:   e.shardCacheFor,
 	}
 	assignedVehicles := make(map[model.VehicleID]bool)
 	assignedOrders := make(map[model.OrderID]bool)
@@ -617,7 +616,7 @@ func (e *Engine) shardPhase1(s *shardState, advWorkers int, t0, t1 float64, resh
 			j++
 		}
 		if j-i == 1 {
-			o.SDT = o.Prep + s.sdt.Dist(o.Restaurant, o.Customer, o.PlacedAt)
+			o.SDT = o.Prep + s.sdt.Travel(o.Restaurant, o.Customer, o.PlacedAt)
 		} else {
 			s.sdtTargets = s.sdtTargets[:0]
 			for _, q := range s.sdtOrders[i:j] {
@@ -800,7 +799,7 @@ func (e *Engine) replanParallel(now float64, stripped, assigned, restored map[mo
 	}
 	e.forEachShard(e.cfg.Workers > 1, func(s *shardState) {
 		for _, mo := range buckets[s.id] {
-			sim.ReplanAfterRound(s.router.Travel, e.mover, mo, now, restored[mo.V.ID])
+			sim.ReplanAfterRound(s.router, e.mover, mo, now, restored[mo.V.ID])
 		}
 	})
 }
@@ -995,10 +994,4 @@ func pressure(w *shardWork) float64 {
 		return math.Inf(1)
 	}
 	return float64(len(w.orders)+1) / float64(len(w.vehicles))
-}
-
-// shardCacheFor returns the distance oracle of a node's zone (used outside
-// the parallel sections).
-func (e *Engine) shardCacheFor(n roadnet.NodeID) roadnet.SPFunc {
-	return e.shards[e.sh.shardOf(n)].router.Travel
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/roadnet"
+	"repro/internal/routing"
 	"repro/internal/spindex"
 	"repro/internal/workload"
 )
@@ -167,13 +168,13 @@ func X4SPEngines(st Setup) (*Table, error) {
 	buildSec := timeIt(func() { ix.BuildSlot(roadnet.Slot(tt)) })
 	pllSec := timeIt(func() {
 		for i := 0; i < queries; i++ {
-			sink += ix.Dist(srcs[i], dsts[i], tt)
+			sink += ix.Travel(srcs[i], dsts[i], tt)
 		}
 	})
-	cache := roadnet.NewDistCache(g, math.Inf(1))
+	cache := roadnet.NewBoundedRouter(g, math.Inf(1))
 	cacheSec := timeIt(func() {
 		for i := 0; i < queries; i++ {
-			sink += cache.Dist(srcs[i], dsts[i], tt)
+			sink += cache.Travel(srcs[i], dsts[i], tt)
 		}
 	})
 	engine := roadnet.NewSSSP(g)
@@ -209,14 +210,13 @@ func X5HeuristicPlanner(st Setup) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache := roadnet.NewDistCache(city.G, math.Inf(1))
-	sp := cache.AsFunc()
+	rt := roadnet.NewBoundedRouter(city.G, math.Inf(1))
 	orders := workload.OrderStreamWindow(city, st.Seed, 12*3600, 13*3600)
 	if len(orders) < 8 {
 		return nil, fmt.Errorf("X5: not enough orders (%d)", len(orders))
 	}
 	for _, o := range orders {
-		o.SDT = o.Prep + sp(o.Restaurant, o.Customer, o.PlacedAt)
+		o.SDT = routing.SDT(rt, o)
 	}
 
 	const batchSize = 4
@@ -229,13 +229,13 @@ func X5HeuristicPlanner(st Setup) (*Table, error) {
 		batch := orders[i*batchSize : (i+1)*batchSize]
 		start := batch[0].Restaurant
 		t0 := time.Now()
-		_, ec, ok := routingOptimize(sp, start, 12*3600, batch)
+		_, ec, ok := routing.Optimize(rt, start, 12*3600, nil, batch)
 		exactSec += time.Since(t0).Seconds()
 		if !ok {
 			continue
 		}
 		t0 = time.Now()
-		_, hc, ok := routingHeuristic(sp, start, 12*3600, batch)
+		_, hc, ok := routing.OptimizeHeuristic(rt, start, 12*3600, nil, batch)
 		heurSec += time.Since(t0).Seconds()
 		if !ok {
 			continue
@@ -320,10 +320,3 @@ func freeFlowCity(c *workload.City) (*workload.City, error) {
 	clone.G = ng
 	return &clone, nil
 }
-
-// adapter indirection so extra.go does not import routing directly at the
-// top (keeps the experiment file self-describing about which planner runs).
-var (
-	routingOptimize  = optimizeExact
-	routingHeuristic = optimizeHeuristic
-)

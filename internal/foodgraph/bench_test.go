@@ -16,7 +16,7 @@ import (
 // best-first construction pays k·m plus search overhead. These benchmarks
 // measure exactly that crossover as the instance grows.
 
-func benchInstance(nBatches, nVehicles int) (*roadnet.Graph, roadnet.SPFunc, []*model.Batch, []*VehicleState) {
+func benchInstance(nBatches, nVehicles int) (*roadnet.Graph, roadnet.Router, []*model.Batch, []*VehicleState) {
 	g, sp := gridGraph(20, 30) // 400 nodes
 	rng := rand.New(rand.NewSource(13))
 	var batches []*model.Batch
@@ -83,11 +83,10 @@ func BenchmarkFoodGraphBuild(b *testing.B) {
 		b.Fatal("no orders in the dinner slice")
 	}
 	rt := roadnet.NewDijkstraRouter(city.G)
-	sp := roadnet.SPFunc(rt.Travel)
 	var batches []*model.Batch
 	for _, o := range orders {
-		o.SDT = o.PlacedAt + routing.SDT(sp, o)
-		plan, cost, ok := routing.Optimize(sp, o.Restaurant, o.PlacedAt, nil, []*model.Order{o})
+		o.SDT = o.PlacedAt + routing.SDT(rt, o)
+		plan, cost, ok := routing.Optimize(rt, o.Restaurant, o.PlacedAt, nil, []*model.Order{o})
 		if !ok {
 			continue
 		}

@@ -115,11 +115,10 @@ var scratchPool = sync.Pool{
 }
 
 // Build constructs the FOODGRAPH for one accumulation window. Distances
-// come from the injected Router (any roadnet.SPFunc is one); backends
-// implementing roadnet.ManyRouter serve each vehicle's first-mile distances
-// to every distinct pickup node with one batched query.
+// come from the injected Router; backends implementing roadnet.ManyRouter
+// serve each vehicle's first-mile distances to every distinct pickup node
+// with one batched query.
 func Build(g *roadnet.Graph, rt roadnet.Router, batches []*model.Batch, vehicles []*VehicleState, opt Options) *Bipartite {
-	sp := roadnet.SPFunc(rt.Travel)
 	nb, nv := len(batches), len(vehicles)
 	// Flat backing arrays: one allocation per matrix instead of one per row,
 	// and row slices carved with full-capacity bounds.
@@ -170,9 +169,9 @@ func Build(g *roadnet.Graph, rt roadnet.Router, batches []*model.Batch, vehicles
 
 	for j, vs := range vehicles {
 		if bestFirst {
-			bestFirstEdges(g, sp, batches, sc, vs, j, bp, opt)
+			bestFirstEdges(g, rt, batches, sc, vs, j, bp, opt)
 		} else {
-			fullEdges(rt, sp, batches, sc, vs, j, bp, opt)
+			fullEdges(rt, batches, sc, vs, j, bp, opt)
 		}
 	}
 	return bp
@@ -182,17 +181,17 @@ func Build(g *roadnet.Graph, rt roadnet.Router, batches []*model.Batch, vehicles
 // quadratic construction of the unoptimised FOODGRAPH. One many-to-many
 // query resolves the vehicle's first-mile distance to every distinct pickup
 // node; batches sharing a pickup node share the answer.
-func fullEdges(rt roadnet.Router, sp roadnet.SPFunc, batches []*model.Batch, sc *buildScratch, vs *VehicleState, j int, bp *Bipartite, opt Options) {
+func fullEdges(rt roadnet.Router, batches []*model.Batch, sc *buildScratch, vs *VehicleState, j int, bp *Bipartite, opt Options) {
 	fm := roadnet.TravelMany(rt, vs.Node, sc.targets, opt.Now)
 	for i, b := range batches {
-		setEdge(sp, b, vs, i, j, bp, opt, fm[sc.tpos[i]])
+		setEdge(rt, b, vs, i, j, bp, opt, fm[sc.tpos[i]])
 	}
 }
 
 // bestFirstEdges is Algorithm 2 for a single vehicle: explore the road
 // network in ascending α-distance, attaching true-weight edges to batches
 // whose first pickup is at each settled node, until the vehicle has degree k.
-func bestFirstEdges(g *roadnet.Graph, sp roadnet.SPFunc, batches []*model.Batch, sc *buildScratch, vs *VehicleState, j int, bp *Bipartite, opt Options) {
+func bestFirstEdges(g *roadnet.Graph, rt roadnet.Router, batches []*model.Batch, sc *buildScratch, vs *VehicleState, j int, bp *Bipartite, opt Options) {
 	startIdx := sc.startIdx
 	source := vs.Node
 	locPt := g.Point(source)
@@ -247,7 +246,7 @@ func bestFirstEdges(g *roadnet.Graph, sp roadnet.SPFunc, batches []*model.Batch,
 		if bis := startIdx[u]; len(bis) > 0 {
 			startsLeft--
 			for _, bi := range bis {
-				if setEdge(sp, batches[bi], vs, bi, j, bp, opt, math.NaN()) {
+				if setEdge(rt, batches[bi], vs, bi, j, bp, opt, math.NaN()) {
 					degree++
 				}
 			}
@@ -264,7 +263,7 @@ func bestFirstEdges(g *roadnet.Graph, sp roadnet.SPFunc, batches []*model.Batch,
 // whether a true (non-Ω) edge was added. fm is the precomputed first-mile
 // distance SP(loc(v), π[1]ʳ, Now) from a batched query, or NaN to resolve it
 // here (the best-first path, which must stay lazy to preserve its pruning).
-func setEdge(sp roadnet.SPFunc, b *model.Batch, vs *VehicleState, i, j int, bp *Bipartite, opt Options, fm float64) bool {
+func setEdge(rt roadnet.Router, b *model.Batch, vs *VehicleState, i, j int, bp *Bipartite, opt Options, fm float64) bool {
 	// Capacity feasibility (Definition 4).
 	if vs.BaseOrders()+len(b.Orders) > opt.MaxO {
 		return false
@@ -274,12 +273,12 @@ func setEdge(sp roadnet.SPFunc, b *model.Batch, vs *VehicleState, i, j int, bp *
 	}
 	// The 45-minute first-mile guarantee.
 	if math.IsNaN(fm) {
-		fm = sp(vs.Node, b.FirstPickupNode(), opt.Now)
+		fm = rt.Travel(vs.Node, b.FirstPickupNode(), opt.Now)
 	}
 	if fm > opt.MaxFirstMile {
 		return false
 	}
-	plan, mc, ok := routing.MarginalCost(sp, vs.Node, opt.Now, vs.Onboard, vs.Keep, b.Orders)
+	plan, mc, ok := routing.MarginalCost(rt, vs.Node, opt.Now, vs.Onboard, vs.Keep, b.Orders)
 	if !ok {
 		return false
 	}

@@ -14,7 +14,7 @@ import (
 
 // gridGraph builds an n×n bidirectional grid with weight w seconds per hop
 // and geographically meaningful coordinates.
-func gridGraph(n int, w float64) (*roadnet.Graph, roadnet.SPFunc) {
+func gridGraph(n int, w float64) (*roadnet.Graph, roadnet.Router) {
 	b := roadnet.NewBuilder()
 	origin := geo.Point{Lat: 12.9, Lon: 77.5}
 	id := func(r, c int) roadnet.NodeID { return roadnet.NodeID(r*n + c) }
@@ -36,16 +36,16 @@ func gridGraph(n int, w float64) (*roadnet.Graph, roadnet.SPFunc) {
 		}
 	}
 	g := b.MustBuild()
-	return g, roadnet.NewDistCache(g, math.Inf(1)).AsFunc()
+	return g, roadnet.NewBoundedRouter(g, math.Inf(1))
 }
 
-func mkOrder(sp roadnet.SPFunc, id model.OrderID, r, c roadnet.NodeID) *model.Order {
+func mkOrder(sp roadnet.Router, id model.OrderID, r, c roadnet.NodeID) *model.Order {
 	o := &model.Order{ID: id, Restaurant: r, Customer: c, PlacedAt: 0, Items: 1, Prep: 0}
 	o.SDT = routing.SDT(sp, o)
 	return o
 }
 
-func mkBatch(sp roadnet.SPFunc, orders ...*model.Order) *model.Batch {
+func mkBatch(sp roadnet.Router, orders ...*model.Order) *model.Batch {
 	plan, cost, ok := routing.Optimize(sp, orders[0].Restaurant, 0, nil, orders)
 	if !ok {
 		panic("infeasible test batch")
@@ -158,13 +158,13 @@ func TestLemma1TopKWithPureBeta(t *testing.T) {
 	}
 	var ds []bd
 	for i, b := range batches {
-		ds = append(ds, bd{i, sp(v.Node, b.FirstPickupNode(), 0)})
+		ds = append(ds, bd{i, sp.Travel(v.Node, b.FirstPickupNode(), 0)})
 	}
 	sort.Slice(ds, func(a, b int) bool { return ds[a].d < ds[b].d })
 	kthDist := ds[opt.K-1].d
 	for i := range batches {
 		isTrue := bp.Cost[i][0] < opt.Omega
-		d := sp(v.Node, batches[i].FirstPickupNode(), 0)
+		d := sp.Travel(v.Node, batches[i].FirstPickupNode(), 0)
 		if isTrue && d > kthDist+1e-9 {
 			t.Fatalf("batch %d (dist %v) got a true edge but is beyond the k-th distance %v", i, d, kthDist)
 		}

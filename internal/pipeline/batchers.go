@@ -137,7 +137,7 @@ func (GreedyBatcher) Name() string { return "greedy" }
 // Batch implements Batcher.
 func (b GreedyBatcher) Batch(ctx context.Context, in *Input) []*model.Batch {
 	cfg := in.Cfg
-	sp := in.SPFunc()
+	rt := in.Router
 	radius := b.RadiusSec
 	if radius <= 0 {
 		radius = cfg.BatchRadius
@@ -161,7 +161,7 @@ func (b GreedyBatcher) Batch(ctx context.Context, in *Input) []*model.Batch {
 		used[seedIdx] = true
 		group := []*model.Order{seed}
 		items := seed.Items
-		plan, cost, ok := routing.Optimize(sp, seed.Restaurant, in.Now, nil, group)
+		plan, cost, ok := routing.Optimize(rt, seed.Restaurant, in.Now, nil, group)
 		if !ok {
 			// Unreachable even alone: an infeasible singleton no vehicle
 			// will accept.
@@ -176,7 +176,7 @@ func (b GreedyBatcher) Batch(ctx context.Context, in *Input) []*model.Batch {
 				if used[i] || items+o.Items > cfg.MaxI {
 					continue
 				}
-				if d := sp(seed.Restaurant, o.Restaurant, in.Now); d <= bestD {
+				if d := rt.Travel(seed.Restaurant, o.Restaurant, in.Now); d <= bestD {
 					best, bestD = i, d
 				}
 			}
@@ -186,7 +186,7 @@ func (b GreedyBatcher) Batch(ctx context.Context, in *Input) []*model.Batch {
 			// Accept the join only if a feasible combined plan exists,
 			// keeping that plan so it is not recomputed at emission.
 			cand := append(append([]*model.Order{}, group...), remaining[best])
-			candPlan, candCost, candOK := routing.Optimize(sp, seed.Restaurant, in.Now, nil, cand)
+			candPlan, candCost, candOK := routing.Optimize(rt, seed.Restaurant, in.Now, nil, cand)
 			if !candOK {
 				break
 			}

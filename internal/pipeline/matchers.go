@@ -98,7 +98,7 @@ func (ReyesMatcher) Match(_ context.Context, in *Input, batches []*model.Batch, 
 	if bp == nil {
 		return nil
 	}
-	sp := in.SPFunc()
+	rt := in.Router
 	mate := matching.Solve(bp.Cost)
 	var out []Assignment
 	for bi, vj := range mate {
@@ -108,7 +108,7 @@ func (ReyesMatcher) Match(_ context.Context, in *Input, batches []*model.Batch, 
 		vs := in.Vehicles[vj]
 		// Execute on the real network: recompute the optimal plan with the
 		// true shortest-path oracle.
-		plan, _, ok := routing.MarginalCost(sp, vs.Node, in.Now, vs.Onboard, vs.Keep, batches[bi].Orders)
+		plan, _, ok := routing.MarginalCost(rt, vs.Node, in.Now, vs.Onboard, vs.Keep, batches[bi].Orders)
 		if !ok {
 			continue
 		}
@@ -145,7 +145,7 @@ func (GreedyMatcher) Name() string { return "greedy" }
 // Match implements Matcher.
 func (GreedyMatcher) Match(ctx context.Context, in *Input, batches []*model.Batch, _ *foodgraph.Bipartite) []Assignment {
 	cfg := in.Cfg
-	sp := in.SPFunc()
+	rt := in.Router
 	n := len(batches)
 	m := len(in.Vehicles)
 	if n == 0 || m == 0 {
@@ -182,10 +182,10 @@ func (GreedyMatcher) Match(ctx context.Context, in *Input, batches []*model.Batc
 		if w.items+b.Items() > cfg.MaxI {
 			return
 		}
-		if fm := sp(vs.Node, b.FirstPickupNode(), in.Now); fm > cfg.MaxFirstMile {
+		if fm := rt.Travel(vs.Node, b.FirstPickupNode(), in.Now); fm > cfg.MaxFirstMile {
 			return
 		}
-		plan, mc, ok := routing.MarginalCost(sp, vs.Node, in.Now, w.onboard, w.pending, b.Orders)
+		plan, mc, ok := routing.MarginalCost(rt, vs.Node, in.Now, w.onboard, w.pending, b.Orders)
 		if !ok || mc >= cfg.Omega {
 			return
 		}

@@ -18,9 +18,9 @@
 // Every stage call takes a context.Context for cancellation/deadline
 // propagation, and consumes network distances exclusively through the
 // injected roadnet.Router, so shortest-path backends (Dijkstra, bounded
-// SSSP, hub labels, caching decorators) are swappable per workload. The
-// Pipeline records per-stage wall time and sizes (Stats) on every Assign;
-// the online engine surfaces them on its round-stats path.
+// SSSP, hub labels, CCH) are swappable per workload. The Pipeline records
+// per-stage wall time and sizes (Stats) on every Assign; the online engine
+// surfaces them on its round-stats path.
 //
 // # Concurrency contract
 //
@@ -48,8 +48,8 @@ import (
 type Input struct {
 	G *roadnet.Graph
 	// Router answers every network-distance query of the window (injected:
-	// bounded SSSP by default; hub labels, plain Dijkstra or a caching
-	// decorator are drop-in).
+	// bounded SSSP by default; hub labels, CCH or plain Dijkstra are
+	// drop-in).
 	Router roadnet.Router
 	// Now is the window-end clock (assignment time).
 	Now float64
@@ -65,15 +65,6 @@ type Input struct {
 	// the incumbent instead of churning assignments every window.
 	Incumbent map[model.OrderID]model.VehicleID
 	Cfg       *model.Config
-}
-
-// SPFunc adapts the injected Router to the closure signature the routing
-// helpers consume.
-func (in *Input) SPFunc() roadnet.SPFunc {
-	if in.Router == nil {
-		return nil
-	}
-	return in.Router.Travel
 }
 
 // Assignment is one policy decision: attach Orders to Vehicle and replace

@@ -40,7 +40,7 @@ func gridCity(n int, w float64) (*roadnet.Graph, roadnet.Router) {
 
 func mkOrder(rt roadnet.Router, id model.OrderID, r, c roadnet.NodeID, prep float64) *model.Order {
 	o := &model.Order{ID: id, Restaurant: r, Customer: c, PlacedAt: 0, Items: 1, Prep: prep, AssignedTo: -1}
-	o.SDT = routing.SDT(rt.Travel, o)
+	o.SDT = routing.SDT(rt, o)
 	return o
 }
 

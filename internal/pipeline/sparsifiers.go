@@ -64,9 +64,9 @@ func (h HaversineSparsifier) Sparsify(_ context.Context, in *Input, batches []*m
 		speed = 8.33
 	}
 	// Haversine pseudo-shortest-path: straight-line seconds between nodes.
-	hsp := func(from, to roadnet.NodeID, _ float64) float64 {
+	hsp := roadnet.SPFunc(func(from, to roadnet.NodeID, _ float64) float64 {
 		return geo.Haversine(in.G.Point(from), in.G.Point(to)) / speed
-	}
+	})
 
 	nb, nv := len(batches), len(in.Vehicles)
 	bp := &foodgraph.Bipartite{

@@ -14,7 +14,7 @@ import (
 )
 
 // gridCity builds an n×n grid, w seconds per hop.
-func gridCity(n int, w float64) (*roadnet.Graph, roadnet.SPFunc) {
+func gridCity(n int, w float64) (*roadnet.Graph, roadnet.Router) {
 	b := roadnet.NewBuilder()
 	origin := geo.Point{Lat: 12.9, Lon: 77.5}
 	id := func(r, c int) roadnet.NodeID { return roadnet.NodeID(r*n + c) }
@@ -36,10 +36,10 @@ func gridCity(n int, w float64) (*roadnet.Graph, roadnet.SPFunc) {
 		}
 	}
 	g := b.MustBuild()
-	return g, roadnet.NewDistCache(g, math.Inf(1)).AsFunc()
+	return g, roadnet.NewBoundedRouter(g, math.Inf(1))
 }
 
-func mkOrder(sp roadnet.SPFunc, id model.OrderID, r, c roadnet.NodeID, prep float64) *model.Order {
+func mkOrder(sp roadnet.Router, id model.OrderID, r, c roadnet.NodeID, prep float64) *model.Order {
 	o := &model.Order{ID: id, Restaurant: r, Customer: c, PlacedAt: 0, Items: 1, Prep: prep, AssignedTo: -1}
 	o.SDT = routing.SDT(sp, o)
 	return o
@@ -53,7 +53,7 @@ func vehicleAt(id model.VehicleID, node roadnet.NodeID) *foodgraph.VehicleState 
 	}
 }
 
-func windowInput(g *roadnet.Graph, sp roadnet.SPFunc, orders []*model.Order, vehicles []*foodgraph.VehicleState) *WindowInput {
+func windowInput(g *roadnet.Graph, sp roadnet.Router, orders []*model.Order, vehicles []*foodgraph.VehicleState) *WindowInput {
 	return &WindowInput{G: g, Router: sp, Now: 0, Orders: orders, Vehicles: vehicles, Cfg: model.DefaultConfig()}
 }
 
@@ -321,7 +321,7 @@ func TestGreedyMatchesPaperExampleCosts(t *testing.T) {
 	und(7, 9, 3)
 	und(8, 9, 2)
 	g := b.MustBuild()
-	sp := roadnet.NewDistCache(g, math.Inf(1)).AsFunc()
+	sp := roadnet.NewBoundedRouter(g, math.Inf(1))
 
 	o2 := mkOrder(sp, 2, 5, 8, 5) // restaurant u6, customer u9, prep 5
 	v2 := vehicleAt(2, 3)         // at u4

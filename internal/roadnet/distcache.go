@@ -22,14 +22,17 @@ type DistCache struct {
 	hits, misses int64
 }
 
-// NewDistCache creates a cache over g whose single-source expansions stop at
-// `bound` seconds of travel. The paper bounds useful distances by the 45-min
-// delivery guarantee; pass that (plus slack) here.
-func NewDistCache(g *Graph, bound float64) *DistCache {
+// NewBoundedRouter returns the bounded single-source backend: one Dijkstra
+// expansion per (source, slot) capped at boundSec seconds of travel,
+// memoised as a dense row; targets beyond the bound report +Inf. The paper
+// bounds useful distances by the 45-min delivery guarantee; pass that (plus
+// slack) here. Not safe for concurrent use; build one per goroutine or zone
+// shard.
+func NewBoundedRouter(g *Graph, boundSec float64) *DistCache {
 	return &DistCache{
 		g:       g,
 		engine:  NewSSSP(g),
-		bound:   bound,
+		bound:   boundSec,
 		entries: make(map[int]map[NodeID][]float64),
 	}
 }
@@ -37,15 +40,10 @@ func NewDistCache(g *Graph, bound float64) *DistCache {
 // Bound returns the expansion bound in seconds.
 func (c *DistCache) Bound() float64 { return c.bound }
 
-// Dist returns SP(from, to, t) or +Inf when `to` is farther than the bound.
-func (c *DistCache) Dist(from, to NodeID, t float64) float64 {
-	return c.row(from, Slot(t))[to]
-}
-
-// Travel implements Router (the bounded-SSSP backend of the unified
-// shortest-path substrate).
+// Travel implements Router: SP(from, to, t), or +Inf when `to` is farther
+// than the bound.
 func (c *DistCache) Travel(from, to NodeID, t float64) float64 {
-	return c.Dist(from, to, t)
+	return c.row(from, Slot(t))[to]
 }
 
 // RouterKind implements Kinded.
@@ -102,12 +100,3 @@ func (c *DistCache) Reset() {
 
 // Stats reports cache hits and misses since construction.
 func (c *DistCache) Stats() (hits, misses int64) { return c.hits, c.misses }
-
-// SPFunc is the shortest-path oracle signature consumed by the routing,
-// batching and policy layers: travel seconds from->to departing at t.
-type SPFunc func(from, to NodeID, t float64) float64
-
-// AsFunc adapts the cache to the SPFunc interface.
-func (c *DistCache) AsFunc() SPFunc {
-	return func(from, to NodeID, t float64) float64 { return c.Dist(from, to, t) }
-}

@@ -255,23 +255,23 @@ func TestSSSPEpochReuse(t *testing.T) {
 
 func TestDistCacheCorrectAndMemoised(t *testing.T) {
 	g := paperGraph(t)
-	c := NewDistCache(g, math.Inf(1))
-	d1 := c.Dist(0, 6, 0)
+	c := NewBoundedRouter(g, math.Inf(1))
+	d1 := c.Travel(0, 6, 0)
 	if want := ShortestPath(g, 0, 6, 0); d1 != want {
 		t.Fatalf("cache dist = %v, want %v", d1, want)
 	}
-	_ = c.Dist(0, 8, 0) // same source+slot: must hit
+	_ = c.Travel(0, 8, 0) // same source+slot: must hit
 	hits, misses := c.Stats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", hits, misses)
 	}
-	_ = c.Dist(0, 8, 7200) // different slot (slot 2): new expansion
+	_ = c.Travel(0, 8, 7200) // different slot (slot 2): new expansion
 	_, misses = c.Stats()
 	if misses != 2 {
 		t.Fatalf("misses=%d, want 2 after new slot", misses)
 	}
 	c.Reset()
-	_ = c.Dist(0, 8, 0)
+	_ = c.Travel(0, 8, 0)
 	_, misses = c.Stats()
 	if misses != 3 {
 		t.Fatalf("misses=%d, want 3 after reset", misses)
@@ -280,11 +280,11 @@ func TestDistCacheCorrectAndMemoised(t *testing.T) {
 
 func TestDistCacheBound(t *testing.T) {
 	g := paperGraph(t)
-	c := NewDistCache(g, 6)
-	if d := c.Dist(0, 6, 0); !math.IsInf(d, 1) {
+	c := NewBoundedRouter(g, 6)
+	if d := c.Travel(0, 6, 0); !math.IsInf(d, 1) {
 		t.Fatalf("beyond-bound dist = %v, want +Inf", d)
 	}
-	if d := c.Dist(0, 4, 0); d != 5 {
+	if d := c.Travel(0, 4, 0); d != 5 {
 		t.Fatalf("within-bound dist = %v, want 5", d)
 	}
 }

@@ -1,32 +1,35 @@
 package roadnet
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
 
-// Router is the unified shortest-path substrate of the assignment pipeline:
-// Travel returns the quickest travel time in seconds from -> to departing at
-// time t (seconds since midnight), or +Inf when `to` is unreachable (or
-// beyond a backend's expansion bound).
+// Router is the one travel-time oracle, the paper's SP(u, v, t): Travel
+// returns the quickest travel time in seconds from -> to departing at time t
+// (seconds since midnight), or +Inf when `to` is unreachable (or beyond a
+// backend's expansion bound).
 //
-// Every pipeline stage, the simulator and the online engine consume their
-// distance oracle through this interface, so backends — per-query Dijkstra,
-// bounded single-source expansion with row memoisation, hub labels
-// (spindex.Index), or a caching decorator — are swappable via a single
-// option without touching stage code.
+// Every layer — routing, batching, FoodGraph construction, the pipeline
+// stages, the simulator and the online engine — takes this interface and
+// nothing else, so backends (per-query Dijkstra, bounded single-source
+// expansion with row memoisation, hub labels, CCH) are swappable via a
+// single option without touching stage code.
 //
-// Concurrency is backend-specific: NewDijkstraRouter and NewLRURouter are
-// safe for concurrent use, a bounded router (DistCache) is not — the engine
-// therefore builds one Router per zone shard, and the simulator drives one
-// from a single goroutine. Check the constructor's documentation before
-// sharing a Router across goroutines.
+// Concurrency is backend-specific: NewDijkstraRouter is safe for concurrent
+// use, a bounded router (DistCache) is not — the engine therefore builds one
+// Router per zone shard, and the simulator drives one from a single
+// goroutine. Check the constructor's documentation before sharing a Router
+// across goroutines.
 type Router interface {
 	Travel(from, to NodeID, t float64) float64
 }
 
-// Travel implements Router, making every shortest-path closure a Router.
+// SPFunc adapts an ordinary function to Router, as http.HandlerFunc does
+// for handlers: the bridge for closure oracles and test fakes.
+type SPFunc func(from, to NodeID, t float64) float64
+
+// Travel implements Router.
 func (f SPFunc) Travel(from, to NodeID, t float64) float64 { return f(from, to, t) }
 
 // Resettable is implemented by Routers whose memoised state can be dropped
@@ -135,120 +138,12 @@ func (r *DijkstraRouter) Settles() int64 { return r.settles.Load() }
 // RouterKind implements Kinded.
 func (r *DijkstraRouter) RouterKind() string { return "dijkstra" }
 
-// NewBoundedRouter returns the bounded single-source backend: one Dijkstra
-// expansion per (source, slot) capped at boundSec seconds of travel,
-// memoised as a dense row (this is the DistCache the pipeline has always
-// used — targets beyond the bound report +Inf). Not safe for concurrent
-// use; build one per goroutine or zone shard.
-func NewBoundedRouter(g *Graph, boundSec float64) *DistCache {
-	return NewDistCache(g, boundSec)
-}
-
-// lruKey identifies one memoised point-to-point query. Weights are static
-// within an hourly slot, so the slot — not the departure time — keys the
-// entry.
-type lruKey struct {
-	from, to NodeID
-	slot     int32
-}
-
-// LRURouter decorates any Router with a bounded point-to-point memo table
-// (least-recently-used eviction). It suits backends whose per-query cost is
-// high and whose query distribution is skewed — e.g. wrapping a hub-label
-// index queried repeatedly for the same vehicle/restaurant pairs within a
-// window. Safe for concurrent use; the inner Router is only ever invoked
-// under the decorator's lock, so it need not be concurrency-safe itself.
-type LRURouter struct {
-	inner Router
-	cap   int
-
-	mu           sync.Mutex
-	ll           *list.List // front = most recently used
-	byKey        map[lruKey]*list.Element
-	hits, misses int64
-}
-
-// lruEntry is one resident cache line.
-type lruEntry struct {
-	key lruKey
-	d   float64
-}
-
-// NewLRURouter wraps inner with an LRU memo of at most capacity entries
-// (minimum 1).
-func NewLRURouter(inner Router, capacity int) *LRURouter {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &LRURouter{
-		inner: inner,
-		cap:   capacity,
-		ll:    list.New(),
-		byKey: make(map[lruKey]*list.Element, capacity),
-	}
-}
-
-// Travel implements Router.
-func (r *LRURouter) Travel(from, to NodeID, t float64) float64 {
-	key := lruKey{from: from, to: to, slot: int32(Slot(t))}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if el, ok := r.byKey[key]; ok {
-		r.hits++
-		r.ll.MoveToFront(el)
-		return el.Value.(*lruEntry).d
-	}
-	r.misses++
-	d := r.inner.Travel(from, to, t)
-	el := r.ll.PushFront(&lruEntry{key: key, d: d})
-	r.byKey[key] = el
-	if r.ll.Len() > r.cap {
-		old := r.ll.Back()
-		r.ll.Remove(old)
-		delete(r.byKey, old.Value.(*lruEntry).key)
-	}
-	return d
-}
-
-// RouterKind implements Kinded.
-func (r *LRURouter) RouterKind() string { return "lru" }
-
-// Stats reports cache hits and misses since construction (or the last Reset).
-func (r *LRURouter) Stats() (hits, misses int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hits, r.misses
-}
-
-// Len reports the resident entry count.
-func (r *LRURouter) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ll.Len()
-}
-
-// Reset implements Resettable: drops every memoised entry and the
-// counters, and forwards the reset to the inner Router when it memoises
-// state of its own (so slot-boundary resets bound memory all the way down).
-func (r *LRURouter) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ll.Init()
-	r.byKey = make(map[lruKey]*list.Element, r.cap)
-	r.hits, r.misses = 0, 0
-	if in, ok := r.inner.(Resettable); ok {
-		in.Reset()
-	}
-}
-
 // Interface conformance.
 var (
 	_ Router     = SPFunc(nil)
 	_ Router     = (*DijkstraRouter)(nil)
 	_ Router     = (*DistCache)(nil)
-	_ Router     = (*LRURouter)(nil)
 	_ Resettable = (*DistCache)(nil)
-	_ Resettable = (*LRURouter)(nil)
 	_ ManyRouter = (*DijkstraRouter)(nil)
 	_ ManyRouter = (*DistCache)(nil)
 	_ ManyRouter = (*SwapRouter)(nil)

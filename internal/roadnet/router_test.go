@@ -9,13 +9,14 @@ import (
 
 // TestRouterBackendsAgree checks that every Router backend returns the same
 // distances on random graphs: per-query Dijkstra, the unbounded bounded
-// router, an LRU-decorated Dijkstra, and the raw SPFunc adapter.
+// router, and the raw SPFunc adapter. The adapter is the only bridge from
+// closures to stages, so a closure over each backend must also answer
+// Travel and package TravelMany bitwise like the router it closes over.
 func TestRouterBackendsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomGraph(rng, 60, 120)
 	dij := NewDijkstraRouter(g)
 	bounded := NewBoundedRouter(g, math.Inf(1))
-	lru := NewLRURouter(NewDijkstraRouter(g), 64)
 	raw := SPFunc(func(from, to NodeID, tt float64) float64 { return ShortestPath(g, from, to, tt) })
 
 	for q := 0; q < 200; q++ {
@@ -23,10 +24,21 @@ func TestRouterBackendsAgree(t *testing.T) {
 		to := NodeID(rng.Intn(g.NumNodes()))
 		tt := float64(rng.Intn(24)) * 3600
 		want := raw.Travel(from, to, tt)
-		for name, r := range map[string]Router{"dijkstra": dij, "bounded": bounded, "lru": lru} {
+		targets := []NodeID{to, from, NodeID(rng.Intn(g.NumNodes()))}
+		for name, r := range map[string]Router{"dijkstra": dij, "bounded": bounded} {
 			got := r.Travel(from, to, tt)
 			if math.Abs(got-want) > 1e-9 && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
 				t.Fatalf("%s(%d->%d @%v) = %v, want %v", name, from, to, tt, got, want)
+			}
+			wrapped := SPFunc(r.Travel)
+			if w := wrapped.Travel(from, to, tt); math.Float64bits(w) != math.Float64bits(got) {
+				t.Fatalf("SPFunc(%s)(%d->%d @%v) = %v, router says %v", name, from, to, tt, w, got)
+			}
+			many, wmany := TravelMany(r, from, targets, tt), TravelMany(wrapped, from, targets, tt)
+			for i := range targets {
+				if math.Float64bits(wmany[i]) != math.Float64bits(many[i]) {
+					t.Fatalf("TravelMany(SPFunc(%s), %d->%d @%v) = %v, router says %v", name, from, targets[i], tt, wmany[i], many[i])
+				}
 			}
 		}
 	}
@@ -47,71 +59,31 @@ func TestBoundedRouterTruncates(t *testing.T) {
 	}
 }
 
-// TestLRURouterMemoisesAndEvicts exercises hit accounting, the capacity
-// bound, and slot-keyed entries.
-func TestLRURouterMemoisesAndEvicts(t *testing.T) {
-	g := paperGraph(t)
-	lru := NewLRURouter(NewDijkstraRouter(g), 2)
-
-	a := lru.Travel(0, 5, 0)
-	if h, m := lru.Stats(); h != 0 || m != 1 {
-		t.Fatalf("after first query: hits=%d misses=%d", h, m)
-	}
-	if b := lru.Travel(0, 5, 60); b != a { // same slot, same key
-		t.Fatalf("same-slot repeat = %v, want %v", b, a)
-	}
-	if h, _ := lru.Stats(); h != 1 {
-		t.Fatalf("same-slot repeat not a hit")
-	}
-	// A different slot is a different key.
-	lru.Travel(0, 5, 2*3600)
-	if _, m := lru.Stats(); m != 2 {
-		t.Fatalf("cross-slot query should miss")
-	}
-	// Capacity 2: inserting a third key evicts the least recently used.
-	lru.Travel(1, 5, 0)
-	if n := lru.Len(); n != 2 {
-		t.Fatalf("resident entries = %d, want 2", n)
-	}
-	lru.Reset()
-	if n := lru.Len(); n != 0 {
-		t.Fatalf("Reset left %d entries", n)
-	}
-	if h, m := lru.Stats(); h != 0 || m != 0 {
-		t.Fatalf("Reset left counters hits=%d misses=%d", h, m)
-	}
-}
-
-// TestConcurrentRouters hammers the concurrency-safe backends from many
+// TestConcurrentRouters hammers the concurrency-safe backend from many
 // goroutines (run with -race).
 func TestConcurrentRouters(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomGraph(rng, 40, 80)
-	for name, r := range map[string]Router{
-		"dijkstra": NewDijkstraRouter(g),
-		"lru":      NewLRURouter(NewDijkstraRouter(g), 128),
-	} {
-		r := r
-		t.Run(name, func(t *testing.T) {
-			ref := NewDijkstraRouter(g)
-			var wg sync.WaitGroup
-			for w := 0; w < 8; w++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					lr := rand.New(rand.NewSource(seed))
-					for q := 0; q < 50; q++ {
-						from := NodeID(lr.Intn(g.NumNodes()))
-						to := NodeID(lr.Intn(g.NumNodes()))
-						want := ref.Travel(from, to, 0)
-						if got := r.Travel(from, to, 0); got != want {
-							t.Errorf("%d->%d = %v, want %v", from, to, got, want)
-							return
-						}
+	r := NewDijkstraRouter(g)
+	t.Run("dijkstra", func(t *testing.T) {
+		ref := NewDijkstraRouter(g)
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				lr := rand.New(rand.NewSource(seed))
+				for q := 0; q < 50; q++ {
+					from := NodeID(lr.Intn(g.NumNodes()))
+					to := NodeID(lr.Intn(g.NumNodes()))
+					want := ref.Travel(from, to, 0)
+					if got := r.Travel(from, to, 0); got != want {
+						t.Errorf("%d->%d = %v, want %v", from, to, got, want)
+						return
 					}
-				}(int64(w))
-			}
-			wg.Wait()
-		})
-	}
+				}
+			}(int64(w))
+		}
+		wg.Wait()
+	})
 }

@@ -132,41 +132,6 @@ func TestSwapRouterConcurrentPublish(t *testing.T) {
 	}
 }
 
-// TestLRURouterConcurrentReset drives Travel and Reset concurrently; under
-// -race this pins the LRU decorator's concurrency contract.
-func TestLRURouterConcurrentReset(t *testing.T) {
-	g := weightsTestGraph(t)
-	r := NewLRURouter(NewDijkstraRouter(g), 16)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for q := 0; q < 4; q++ {
-		wg.Add(1)
-		go func(q int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				from := NodeID((q + i) % g.NumNodes())
-				to := NodeID(i % g.NumNodes())
-				if d := r.Travel(from, to, float64(i%86400)); math.IsNaN(d) {
-					t.Error("NaN distance")
-					return
-				}
-			}
-		}(q)
-	}
-	for i := 0; i < 200; i++ {
-		r.Reset()
-		_ = r.Len()
-		_, _ = r.Stats()
-	}
-	close(stop)
-	wg.Wait()
-}
-
 // BenchmarkRouterSwap quantifies the snapshot layer's query-path cost: the
 // same bounded backend queried directly, through a per-query atomic load
 // (SwapRouter.Travel), and through a round-pinned Acquire. The acceptance

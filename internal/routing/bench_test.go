@@ -8,7 +8,7 @@ import (
 	"repro/internal/roadnet"
 )
 
-func benchInstance(n int) (roadnet.SPFunc, roadnet.NodeID, []*model.Order) {
+func benchInstance(n int) (roadnet.Router, roadnet.NodeID, []*model.Order) {
 	_, sp := heuristicTestGraph()
 	rng := rand.New(rand.NewSource(7))
 	orders := randomOrders(rng, sp, n, false)

@@ -7,31 +7,13 @@ import (
 	"repro/internal/roadnet"
 )
 
-// ExactLimit is the largest total order count for which OptimizeAuto uses
-// exhaustive branch-and-bound; beyond it the number of precedence-feasible
-// stop sequences ((2m)!/2^m) makes enumeration impractical and the
-// insertion heuristic takes over. The paper caps MAXO at 3, where
-// enumeration is trivially cheap; supporting larger batches is listed as
-// the "batch size 3 or more" extension its clustering enables.
-const ExactLimit = 4
-
-// OptimizeAuto picks the exact planner for small instances and the
-// cheapest-insertion heuristic (with or-opt improvement) for large ones.
-// The returned plan always satisfies the precedence invariant.
-func OptimizeAuto(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, onboard, toPickup []*model.Order) (*model.RoutePlan, float64, bool) {
-	if len(onboard)+len(toPickup) <= ExactLimit {
-		return Optimize(sp, start, startTime, onboard, toPickup)
-	}
-	return OptimizeHeuristic(sp, start, startTime, onboard, toPickup)
-}
-
 // OptimizeHeuristic builds a route plan by cheapest insertion — orders are
 // inserted one by one, each at the (pickup, dropoff) position pair that
 // minimises the plan's ΣXDT — followed by a pairwise or-opt improvement
 // pass that relocates single stops while preserving precedence. Quality is
 // typically within a few percent of exact on MAXO≤4 instances (asserted
 // under test) and the cost is polynomial, O(m³) plan evaluations.
-func OptimizeHeuristic(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, onboard, toPickup []*model.Order) (*model.RoutePlan, float64, bool) {
+func OptimizeHeuristic(rt roadnet.Router, start roadnet.NodeID, startTime float64, onboard, toPickup []*model.Order) (*model.RoutePlan, float64, bool) {
 	stops := make([]model.Stop, 0, len(onboard)+2*len(toPickup))
 	// Seed with onboard dropoffs in nearest-neighbour order.
 	remaining := append([]*model.Order{}, onboard...)
@@ -40,7 +22,7 @@ func OptimizeHeuristic(sp roadnet.SPFunc, start roadnet.NodeID, startTime float6
 	for len(remaining) > 0 {
 		bi, bd := -1, math.Inf(1)
 		for i, o := range remaining {
-			if d := sp(node, o.Customer, t); d < bd {
+			if d := rt.Travel(node, o.Customer, t); d < bd {
 				bd = d
 				bi = i
 			}
@@ -56,7 +38,7 @@ func OptimizeHeuristic(sp roadnet.SPFunc, start roadnet.NodeID, startTime float6
 	}
 
 	evalStops := func(ss []model.Stop) (float64, bool) {
-		cost, _, ok := evaluate(sp, start, startTime, ss)
+		cost, _, ok := evaluate(rt, start, startTime, ss)
 		return cost, ok
 	}
 
@@ -137,18 +119,4 @@ func relocate(stops []model.Stop, i, pos int) []model.Stop {
 	out = append(out, s)
 	out = append(out, rest[pos:]...)
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/roadnet"
 )
 
-func heuristicTestGraph() (*roadnet.Graph, roadnet.SPFunc) {
+func heuristicTestGraph() (*roadnet.Graph, roadnet.Router) {
 	b := roadnet.NewBuilder()
 	const n = 8
 	for r := 0; r < n; r++ {
@@ -32,10 +32,10 @@ func heuristicTestGraph() (*roadnet.Graph, roadnet.SPFunc) {
 		}
 	}
 	g := b.MustBuild()
-	return g, roadnet.NewDistCache(g, math.Inf(1)).AsFunc()
+	return g, roadnet.NewBoundedRouter(g, math.Inf(1))
 }
 
-func randomOrders(rng *rand.Rand, sp roadnet.SPFunc, n int, picked bool) []*model.Order {
+func randomOrders(rng *rand.Rand, sp roadnet.Router, n int, picked bool) []*model.Order {
 	var out []*model.Order
 	for i := 0; i < n; i++ {
 		o := &model.Order{
@@ -96,7 +96,7 @@ func TestHeuristicLargeBatchValid(t *testing.T) {
 		for i, o := range onboard {
 			o.ID = model.OrderID(100 + i)
 		}
-		orders := randomOrders(rng, sp, 5+rng.Intn(4), false) // beyond ExactLimit
+		orders := randomOrders(rng, sp, 5+rng.Intn(4), false) // sizes the exact planner is impractical for
 		start := roadnet.NodeID(rng.Intn(64))
 		plan, cost, ok := OptimizeHeuristic(sp, start, 0, onboard, orders)
 		if !ok {
@@ -116,37 +116,13 @@ func TestHeuristicLargeBatchValid(t *testing.T) {
 	}
 }
 
-func TestOptimizeAutoSwitches(t *testing.T) {
-	_, sp := heuristicTestGraph()
-	rng := rand.New(rand.NewSource(31))
-	small := randomOrders(rng, sp, 3, false)
-	start := roadnet.NodeID(10)
-	_, autoCost, ok := OptimizeAuto(sp, start, 0, nil, small)
-	if !ok {
-		t.Fatal("auto infeasible on small instance")
-	}
-	_, exactCost, _ := Optimize(sp, start, 0, nil, small)
-	if autoCost != exactCost {
-		t.Fatalf("auto (small) = %v, exact = %v — must use exact path", autoCost, exactCost)
-	}
-
-	big := randomOrders(rng, sp, 7, false)
-	plan, _, ok := OptimizeAuto(sp, start, 0, nil, big)
-	if !ok {
-		t.Fatal("auto infeasible on large instance")
-	}
-	if err := plan.Validate(); err != nil {
-		t.Fatalf("auto large plan invalid: %v", err)
-	}
-}
-
 func TestHeuristicUnreachable(t *testing.T) {
 	b := roadnet.NewBuilder()
 	u := b.AddNode(geo.Point{})
 	v := b.AddNode(geo.Point{Lat: 1})
 	b.AddEdge(u, v, 10, 10, 0)
 	g := b.MustBuild()
-	sp := roadnet.NewDistCache(g, math.Inf(1)).AsFunc()
+	sp := roadnet.NewBoundedRouter(g, math.Inf(1))
 	o := &model.Order{ID: 1, Restaurant: v, Customer: u, PlacedAt: 0, Items: 1}
 	if _, _, ok := OptimizeHeuristic(sp, u, 0, nil, []*model.Order{o}); ok {
 		t.Fatal("unreachable instance accepted")

@@ -17,8 +17,8 @@ import (
 )
 
 // SDT computes the shortest delivery time oᵖ + SP(oʳ,oᶜ,oᵗ) (Definition 6).
-func SDT(sp roadnet.SPFunc, o *model.Order) float64 {
-	return o.Prep + sp(o.Restaurant, o.Customer, o.PlacedAt)
+func SDT(rt roadnet.Router, o *model.Order) float64 {
+	return o.Prep + rt.Travel(o.Restaurant, o.Customer, o.PlacedAt)
 }
 
 // Evaluate simulates a route plan stop by stop, starting at `start` at time
@@ -33,20 +33,20 @@ func SDT(sp roadnet.SPFunc, o *model.Order) float64 {
 // subtracts the precomputed SDT.
 //
 // The second return value is false when any leg is unreachable (+Inf).
-func Evaluate(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, plan *model.RoutePlan) (float64, bool) {
-	cost, _, ok := evaluate(sp, start, startTime, plan.Stops)
+func Evaluate(rt roadnet.Router, start roadnet.NodeID, startTime float64, plan *model.RoutePlan) (float64, bool) {
+	cost, _, ok := evaluate(rt, start, startTime, plan.Stops)
 	return cost, ok
 }
 
 // EvaluateDetailed is Evaluate plus the per-order delivery instants and the
 // total waiting time incurred at restaurants, used by tests and by the
 // batching layer's diagnostics.
-func EvaluateDetailed(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, plan *model.RoutePlan) (cost, waitSec float64, dropTimes map[model.OrderID]float64, ok bool) {
+func EvaluateDetailed(rt roadnet.Router, start roadnet.NodeID, startTime float64, plan *model.RoutePlan) (cost, waitSec float64, dropTimes map[model.OrderID]float64, ok bool) {
 	dropTimes = make(map[model.OrderID]float64, len(plan.Stops)/2)
 	t := startTime
 	node := start
 	for _, s := range plan.Stops {
-		leg := sp(node, s.Node, t)
+		leg := rt.Travel(node, s.Node, t)
 		if math.IsInf(leg, 1) {
 			return 0, 0, nil, false
 		}
@@ -66,11 +66,11 @@ func EvaluateDetailed(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64
 	return cost, waitSec, dropTimes, true
 }
 
-func evaluate(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, stops []model.Stop) (cost, endTime float64, ok bool) {
+func evaluate(rt roadnet.Router, start roadnet.NodeID, startTime float64, stops []model.Stop) (cost, endTime float64, ok bool) {
 	t := startTime
 	node := start
 	for _, s := range stops {
-		leg := sp(node, s.Node, t)
+		leg := rt.Travel(node, s.Node, t)
 		if math.IsInf(leg, 1) {
 			return 0, 0, false
 		}
@@ -98,7 +98,7 @@ func evaluate(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, stops 
 // with branch-and-bound pruning: XDT contributions accrue per dropoff and
 // are non-decreasing in time, so a partial cost already exceeding the best
 // complete plan can be cut.
-func Optimize(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, onboard, toPickup []*model.Order) (*model.RoutePlan, float64, bool) {
+func Optimize(rt roadnet.Router, start roadnet.NodeID, startTime float64, onboard, toPickup []*model.Order) (*model.RoutePlan, float64, bool) {
 	n := len(onboard) + len(toPickup)
 	if n == 0 {
 		return &model.RoutePlan{}, 0, true
@@ -135,7 +135,7 @@ func Optimize(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, onboar
 			return
 		}
 		tryStop := func(s model.Stop, undo func()) {
-			leg := sp(st.node, s.Node, st.t)
+			leg := rt.Travel(st.node, s.Node, st.t)
 			if math.IsInf(leg, 1) {
 				undo()
 				return
@@ -202,8 +202,8 @@ func Optimize(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, onboar
 // Cost computes Cost(v, O) (Eq. 4): the total XDT of the vehicle's order set
 // under its quickest route plan, with the vehicle at `start` at `startTime`.
 // Returns +Inf when infeasible.
-func Cost(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, onboard, toPickup []*model.Order) float64 {
-	_, c, ok := Optimize(sp, start, startTime, onboard, toPickup)
+func Cost(rt roadnet.Router, start roadnet.NodeID, startTime float64, onboard, toPickup []*model.Order) float64 {
+	_, c, ok := Optimize(rt, start, startTime, onboard, toPickup)
 	if !ok {
 		return math.Inf(1)
 	}
@@ -216,8 +216,8 @@ func Cost(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, onboard, t
 // picked up). The base cost covers onboard+pending; the extended cost adds
 // the batch. Returns the new optimal plan alongside; ok=false when the
 // extended set is infeasible.
-func MarginalCost(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, onboard, pending, add []*model.Order) (*model.RoutePlan, float64, bool) {
-	base := Cost(sp, start, startTime, onboard, pending)
+func MarginalCost(rt roadnet.Router, start roadnet.NodeID, startTime float64, onboard, pending, add []*model.Order) (*model.RoutePlan, float64, bool) {
+	base := Cost(rt, start, startTime, onboard, pending)
 	if math.IsInf(base, 1) {
 		// The vehicle's existing workload is already unreachable (should not
 		// happen on strongly connected networks); treat extension as
@@ -227,7 +227,7 @@ func MarginalCost(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, on
 	extended := make([]*model.Order, 0, len(pending)+len(add))
 	extended = append(extended, pending...)
 	extended = append(extended, add...)
-	plan, total, ok := Optimize(sp, start, startTime, onboard, extended)
+	plan, total, ok := Optimize(rt, start, startTime, onboard, extended)
 	if !ok {
 		return nil, 0, false
 	}
@@ -238,8 +238,8 @@ func MarginalCost(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, on
 // vehicle at `start` (Definition 5) under the plan returned by Optimize for
 // just that order: max(firstMile, prep-remaining) + lastMile, expressed as
 // the dropoff instant minus placement time.
-func EDT(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, o *model.Order) float64 {
-	_, _, drops, ok := EvaluateDetailed(sp, start, startTime, &model.RoutePlan{Stops: []model.Stop{
+func EDT(rt roadnet.Router, start roadnet.NodeID, startTime float64, o *model.Order) float64 {
+	_, _, drops, ok := EvaluateDetailed(rt, start, startTime, &model.RoutePlan{Stops: []model.Stop{
 		{Node: o.Restaurant, Order: o, Kind: model.Pickup},
 		{Node: o.Customer, Order: o, Kind: model.Dropoff},
 	}})

@@ -12,7 +12,7 @@ import (
 
 // paperGraph reproduces Fig. 1 (0-indexed nodes u1..u10 -> 0..9, weights in
 // "minutes" treated as seconds for convenience).
-func paperGraph(t testing.TB) (*roadnet.Graph, roadnet.SPFunc) {
+func paperGraph(t testing.TB) (*roadnet.Graph, roadnet.Router) {
 	b := roadnet.NewBuilder()
 	for i := 0; i < 10; i++ {
 		b.AddNode(geo.Point{Lat: float64(i) * 0.01})
@@ -36,26 +36,25 @@ func paperGraph(t testing.TB) (*roadnet.Graph, roadnet.SPFunc) {
 	und(7, 9, 3)
 	und(8, 9, 2)
 	g := b.MustBuild()
-	c := roadnet.NewDistCache(g, math.Inf(1))
-	return g, c.AsFunc()
+	return g, roadnet.NewBoundedRouter(g, math.Inf(1))
 }
 
 // order1 is o1 of the paper: restaurant u2 (1), customer u7 (6), prep 5.
-func order1(sp roadnet.SPFunc) *model.Order {
+func order1(sp roadnet.Router) *model.Order {
 	o := &model.Order{ID: 1, Restaurant: 1, Customer: 6, PlacedAt: 0, Items: 1, Prep: 5}
 	o.SDT = SDT(sp, o)
 	return o
 }
 
 // order2 is o2: restaurant u6 (5), customer u9 (8), prep 5.
-func order2(sp roadnet.SPFunc) *model.Order {
+func order2(sp roadnet.Router) *model.Order {
 	o := &model.Order{ID: 2, Restaurant: 5, Customer: 8, PlacedAt: 0, Items: 1, Prep: 5}
 	o.SDT = SDT(sp, o)
 	return o
 }
 
 // order3 is o3: restaurant u3 (2), customer u8 (7), prep 10.
-func order3(sp roadnet.SPFunc) *model.Order {
+func order3(sp roadnet.Router) *model.Order {
 	o := &model.Order{ID: 3, Restaurant: 2, Customer: 7, PlacedAt: 0, Items: 1, Prep: 10}
 	o.SDT = SDT(sp, o)
 	return o
@@ -178,7 +177,7 @@ func TestOptimizeWithOnboard(t *testing.T) {
 }
 
 // bruteForce enumerates all valid stop sequences without pruning.
-func bruteForce(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, onboard, toPickup []*model.Order) float64 {
+func bruteForce(sp roadnet.Router, start roadnet.NodeID, startTime float64, onboard, toPickup []*model.Order) float64 {
 	var stops []model.Stop
 	for _, o := range onboard {
 		stops = append(stops, model.Stop{Node: o.Customer, Order: o, Kind: model.Dropoff})
@@ -207,7 +206,7 @@ func bruteForce(sp roadnet.SPFunc, start roadnet.NodeID, startTime float64, onbo
 				node := start
 				c := 0.0
 				for _, s := range seq {
-					leg := sp(node, s.Node, t)
+					leg := sp.Travel(node, s.Node, t)
 					if math.IsInf(leg, 1) {
 						return 0, 0, false
 					}
@@ -344,8 +343,7 @@ func TestEvaluateUnreachable(t *testing.T) {
 	v := b.AddNode(geo.Point{Lat: 1})
 	b.AddEdge(u, v, 10, 10, 0)
 	g := b.MustBuild()
-	c := roadnet.NewDistCache(g, math.Inf(1))
-	sp := c.AsFunc()
+	sp := roadnet.NewBoundedRouter(g, math.Inf(1))
 	o := &model.Order{ID: 1, Restaurant: v, Customer: u, PlacedAt: 0, Items: 1}
 	plan := &model.RoutePlan{Stops: []model.Stop{
 		{Node: v, Order: o, Kind: model.Pickup},

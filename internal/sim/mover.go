@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/roadnet"
-	"repro/internal/routing"
 	"repro/internal/trace"
 )
 
@@ -339,16 +338,4 @@ func removeOrder(list *[]*model.Order, id model.OrderID) {
 			return
 		}
 	}
-}
-
-// OptimizeDropoffs plans the remaining dropoffs for a vehicle's onboard
-// orders (used after reshuffling strips its pending pickups).
-func OptimizeDropoffs(sp roadnet.SPFunc, node roadnet.NodeID, now float64, onboard []*model.Order) (*model.RoutePlan, float64, bool) {
-	return routing.Optimize(sp, node, now, onboard, nil)
-}
-
-// OptimizePlan rebuilds a vehicle's full quickest plan over its onboard
-// dropoffs and pending pickups (used when restoring reshuffled orders).
-func OptimizePlan(sp roadnet.SPFunc, node roadnet.NodeID, now float64, onboard, pending []*model.Order) (*model.RoutePlan, float64, bool) {
-	return routing.Optimize(sp, node, now, onboard, pending)
 }

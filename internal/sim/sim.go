@@ -48,8 +48,8 @@ type Options struct {
 	// reality (Section V-B); pair it with the gps package's SpeedLearner.
 	DecisionGraph *roadnet.Graph
 	// Router, when set, is the shortest-path backend the *policy* queries
-	// (hub labels, plain Dijkstra, an LRU decorator, …); nil defaults to a
-	// bounded-SSSP distance cache (SPBound) over the decision graph.
+	// (hub labels, CCH, plain Dijkstra, …); nil defaults to a bounded-SSSP
+	// distance cache (SPBound) over the decision graph.
 	// Vehicle movement and SDT always stay on the true graph. The router is
 	// driven from the simulation goroutine only.
 	Router roadnet.Router
@@ -75,11 +75,10 @@ type Options struct {
 // Simulator replays one day of orders under a policy.
 type Simulator struct {
 	g *roadnet.Graph
-	// cache/sp answer metric queries (SDT) on the true graph; decRouter
+	// cache answers metric queries (SDT) on the true graph; decRouter
 	// answers the policy's queries, possibly on a learned graph (decCache
 	// is its backing store when the backend is the internal bounded cache).
 	cache     *roadnet.DistCache
-	sp        roadnet.SPFunc
 	decCache  *roadnet.DistCache
 	decRouter roadnet.Router
 	decG      *roadnet.Graph
@@ -115,11 +114,10 @@ func New(g *roadnet.Graph, orders []*model.Order, vehicles []*model.Vehicle, pol
 	sorted := make([]*model.Order, len(orders))
 	copy(sorted, orders)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].PlacedAt < sorted[j].PlacedAt })
-	cache := roadnet.NewDistCache(g, opts.SPBound)
+	cache := roadnet.NewBoundedRouter(g, opts.SPBound)
 	s := &Simulator{
 		g:       g,
 		cache:   cache,
-		sp:      cache.AsFunc(),
 		pol:     pol,
 		cfg:     cfg,
 		opts:    opts,
@@ -134,7 +132,7 @@ func New(g *roadnet.Graph, orders []*model.Order, vehicles []*model.Vehicle, pol
 		}
 		s.decG = opts.DecisionGraph
 		if opts.Router == nil {
-			s.decCache = roadnet.NewDistCache(opts.DecisionGraph, opts.SPBound)
+			s.decCache = roadnet.NewBoundedRouter(opts.DecisionGraph, opts.SPBound)
 		}
 	}
 	s.decRouter = s.decCache
@@ -291,7 +289,7 @@ func (s *Simulator) injectOrders(wEnd float64) {
 		s.nextOrd++
 		o.State = model.OrderPlaced
 		o.AssignedTo = -1
-		o.SDT = o.Prep + s.sp(o.Restaurant, o.Customer, o.PlacedAt)
+		o.SDT = o.Prep + s.cache.Travel(o.Restaurant, o.Customer, o.PlacedAt)
 		s.metrics.TotalOrders++
 		s.metrics.SlotOrders[roadnet.Slot(o.PlacedAt)]++
 		s.pool = append(s.pool, o)
@@ -329,7 +327,7 @@ func (s *Simulator) world() *RoundWorld {
 		Mover:   s.mover,
 		Cfg:     s.cfg,
 		Trace:   s.opts.Trace,
-		SPFor:   func(roadnet.NodeID) roadnet.SPFunc { return s.decRouter.Travel },
+		Router:  s.decRouter,
 	}
 }
 

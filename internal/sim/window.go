@@ -4,6 +4,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/policy"
 	"repro/internal/roadnet"
+	"repro/internal/routing"
 	"repro/internal/trace"
 )
 
@@ -20,10 +21,10 @@ type RoundWorld struct {
 	Mover   *Mover
 	Cfg     *model.Config
 	Trace   trace.Sink
-	// SPFor returns the distance oracle for planning around a node. The
-	// simulator answers every query with one oracle; the engine answers
-	// with the node's zone-shard cache.
-	SPFor func(roadnet.NodeID) roadnet.SPFunc
+	// Router is the distance oracle RestoreToIncumbent and ReplanStripped
+	// replan with (the engine replans per zone shard through
+	// ReplanAfterRound instead and leaves it nil).
+	Router roadnet.Router
 }
 
 // ReleasePending implements the reshuffle release (Section IV-D2) for one
@@ -113,7 +114,7 @@ func (w *RoundWorld) RestoreToIncumbent(now float64, orders []*model.Order,
 	restored := w.DecideRestores(now, orders, incumbent, assignedOrders)
 	for _, mo := range w.Motions {
 		if restored[mo.V.ID] {
-			ReplanAfterRound(w.SPFor(mo.V.Node), w.Mover, mo, now, true)
+			ReplanAfterRound(w.Router, w.Mover, mo, now, true)
 		}
 	}
 	return restored
@@ -125,17 +126,17 @@ func (w *RoundWorld) RestoreToIncumbent(now float64, orders []*model.Order,
 // dropoff-only plan — or an empty one when nothing is onboard — keeping its
 // old dropoff order as the fallback when optimisation fails. Shared by the
 // offline round and the online engine's parallel per-zone replan.
-func ReplanAfterRound(sp roadnet.SPFunc, m *Mover, mo *Motion, now float64, restored bool) {
+func ReplanAfterRound(rt roadnet.Router, m *Mover, mo *Motion, now float64, restored bool) {
 	v := mo.V
 	switch {
 	case restored:
-		if plan, _, ok := OptimizePlan(sp, v.Node, now, v.Onboard, v.Pending); ok {
+		if plan, _, ok := routing.Optimize(rt, v.Node, now, v.Onboard, v.Pending); ok {
 			m.SetPlan(mo, plan)
 		}
 	case len(v.Onboard) == 0:
 		m.SetPlan(mo, &model.RoutePlan{})
 	default:
-		if plan, _, ok := OptimizeDropoffs(sp, v.Node, now, v.Onboard); ok {
+		if plan, _, ok := routing.Optimize(rt, v.Node, now, v.Onboard, nil); ok {
 			m.SetPlan(mo, plan)
 		}
 	}
@@ -188,7 +189,7 @@ func (w *RoundWorld) ReplanStripped(now float64, stripped, assigned, restored ma
 		if !stripped[v.ID] || assigned[v.ID] || restored[v.ID] {
 			continue
 		}
-		ReplanAfterRound(w.SPFor(v.Node), w.Mover, mo, now, false)
+		ReplanAfterRound(w.Router, w.Mover, mo, now, false)
 	}
 }
 

@@ -54,12 +54,12 @@ func NewAsyncRouter(g *roadnet.Graph, fallback roadnet.Router, syncBuild bool) *
 func (r *AsyncRouter) Travel(from, to roadnet.NodeID, t float64) float64 {
 	slot := roadnet.Slot(t)
 	if r.state[slot].Load() == slotReady {
-		return r.ix.Dist(from, to, t)
+		return r.ix.Travel(from, to, t)
 	}
 	if r.sync {
 		r.ix.BuildSlot(slot)
 		r.state[slot].Store(slotReady)
-		return r.ix.Dist(from, to, t)
+		return r.ix.Travel(from, to, t)
 	}
 	r.ensureBuilding(slot)
 	// Pre-warm the next slot too: by the time the replay clock crosses the

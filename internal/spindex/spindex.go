@@ -199,21 +199,16 @@ func mergeQuery(bwdU, fwdV []labelEntry) float64 {
 	return best
 }
 
-// Dist returns the exact SP(u,v,t) for the slot containing t, or +Inf if v
-// is unreachable from u.
-func (ix *Index) Dist(u, v roadnet.NodeID, t float64) float64 {
-	if u == v {
+// Travel implements roadnet.Router: the exact SP(from, to, t) for the slot
+// containing t, or +Inf if `to` is unreachable. The index is the hub-label
+// backend, safe for concurrent use (slot builds are internally
+// synchronised).
+func (ix *Index) Travel(from, to roadnet.NodeID, t float64) float64 {
+	if from == to {
 		return 0
 	}
 	si := ix.slotIndex(roadnet.Slot(t))
-	return mergeQuery(si.bwd[u], si.fwd[v])
-}
-
-// Travel implements roadnet.Router: the index is the hub-label backend of
-// the unified shortest-path substrate, safe for concurrent use (slot builds
-// are internally synchronised).
-func (ix *Index) Travel(from, to roadnet.NodeID, t float64) float64 {
-	return ix.Dist(from, to, t)
+	return mergeQuery(si.bwd[from], si.fwd[to])
 }
 
 // TravelMany implements roadnet.ManyRouter: one slot-index load and one
@@ -233,11 +228,6 @@ func (ix *Index) TravelMany(from roadnet.NodeID, targets []roadnet.NodeID, t flo
 		out[i] = mergeQuery(bwd, si.fwd[to])
 	}
 	return out
-}
-
-// AsFunc adapts the index to the SPFunc oracle interface.
-func (ix *Index) AsFunc() roadnet.SPFunc {
-	return func(from, to roadnet.NodeID, t float64) float64 { return ix.Dist(from, to, t) }
 }
 
 var (

@@ -50,7 +50,7 @@ func TestIndexMatchesDijkstraAllPairs(t *testing.T) {
 		view := e.FromSource(roadnet.NodeID(u), 0, math.Inf(1))
 		for v := 0; v < g.NumNodes(); v++ {
 			want := view.Get(roadnet.NodeID(v))
-			got := ix.Dist(roadnet.NodeID(u), roadnet.NodeID(v), 0)
+			got := ix.Travel(roadnet.NodeID(u), roadnet.NodeID(v), 0)
 			if math.Abs(got-want) > 1e-3 && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
 				t.Fatalf("PLL(%d,%d) = %v, Dijkstra = %v", u, v, got, want)
 			}
@@ -63,7 +63,7 @@ func TestIndexSelfDistance(t *testing.T) {
 	g := randomGraph(rng, 20, 40, false)
 	ix := New(g)
 	for u := 0; u < g.NumNodes(); u++ {
-		if d := ix.Dist(roadnet.NodeID(u), roadnet.NodeID(u), 0); d != 0 {
+		if d := ix.Travel(roadnet.NodeID(u), roadnet.NodeID(u), 0); d != 0 {
 			t.Fatalf("self distance = %v", d)
 		}
 	}
@@ -78,10 +78,10 @@ func TestIndexUnreachable(t *testing.T) {
 	b.AddEdge(v, u, 10, 5, 0)
 	g := b.MustBuild()
 	ix := New(g)
-	if d := ix.Dist(u, w, 0); !math.IsInf(d, 1) {
+	if d := ix.Travel(u, w, 0); !math.IsInf(d, 1) {
 		t.Fatalf("unreachable distance = %v, want +Inf", d)
 	}
-	if d := ix.Dist(w, u, 0); !math.IsInf(d, 1) {
+	if d := ix.Travel(w, u, 0); !math.IsInf(d, 1) {
 		t.Fatalf("unreachable (reverse) distance = %v, want +Inf", d)
 	}
 }
@@ -99,10 +99,10 @@ func TestIndexDirectedAsymmetry(t *testing.T) {
 	}
 	g := b.MustBuild()
 	ix := New(g)
-	if d := ix.Dist(ids[0], ids[1], 0); d != 10 {
+	if d := ix.Travel(ids[0], ids[1], 0); d != 10 {
 		t.Fatalf("forward dist = %v, want 10", d)
 	}
-	if d := ix.Dist(ids[1], ids[0], 0); d != 40 {
+	if d := ix.Travel(ids[1], ids[0], 0); d != 40 {
 		t.Fatalf("around-the-ring dist = %v, want 40", d)
 	}
 }
@@ -118,7 +118,7 @@ func TestIndexTimeSlots(t *testing.T) {
 			u := roadnet.NodeID(rng.Intn(40))
 			v := roadnet.NodeID(rng.Intn(40))
 			want := e.Distance(u, v, tt)
-			got := ix.Dist(u, v, tt)
+			got := ix.Travel(u, v, tt)
 			if math.Abs(got-want) > 1e-3 {
 				t.Fatalf("slot %d: PLL(%d,%d)=%v, want %v", hour, u, v, got, want)
 			}
@@ -137,7 +137,7 @@ func TestIndexConcurrentQueries(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				u := roadnet.NodeID(r.Intn(30))
 				v := roadnet.NodeID(r.Intn(30))
-				_ = ix.Dist(u, v, float64(r.Intn(24))*3600)
+				_ = ix.Travel(u, v, float64(r.Intn(24))*3600)
 			}
 			done <- true
 		}(int64(w))
@@ -169,7 +169,7 @@ func BenchmarkPLLQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		u := roadnet.NodeID(i % 500)
 		v := roadnet.NodeID((i * 7) % 500)
-		_ = ix.Dist(u, v, 0)
+		_ = ix.Travel(u, v, 0)
 	}
 }
 

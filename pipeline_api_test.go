@@ -97,12 +97,8 @@ func TestRouterBackendsSwappable(t *testing.T) {
 	}
 	dij := replayCity(t, scale, from, to, NewFoodMatch(), NewDijkstraRouter(city.G))
 	requireIdentical(t, "dijkstra router vs default", ref, dij)
-	lru := replayCity(t, scale, from, to, NewFoodMatch(), NewCachedRouter(NewDijkstraRouter(city.G), 1<<16))
-	requireIdentical(t, "cached dijkstra router vs default", ref, lru)
 	hub := replayCity(t, scale, from, to, NewFoodMatch(), NewHubLabels(city.G))
 	requireClose(t, "hub-label router vs default", ref, hub)
-	cachedHub := replayCity(t, scale, from, to, NewFoodMatch(), NewCachedRouter(NewHubLabels(city.G), 1<<16))
-	requireIdentical(t, "cached hub labels vs raw hub labels", hub, cachedHub)
 }
 
 // TestSimulatorContextCancellation: a cancelled context stops the replay

@@ -34,8 +34,7 @@ func benchCity(b *testing.B) *City {
 // BenchmarkRouter measures point-to-point query latency per Router backend
 // on the CityB road network at the bench scale (dinner-slot weights, a
 // fixed random query mix). The bounded backend amortises one single-source
-// expansion per source; hub labels pay a label merge per query; the LRU
-// decorator turns repeat queries into map hits.
+// expansion per source; hub labels pay a label merge per query.
 func BenchmarkRouter(b *testing.B) {
 	g := benchCity(b).G
 	const t0 = 19 * 3600.0
@@ -56,8 +55,6 @@ func BenchmarkRouter(b *testing.B) {
 		{"dijkstra", NewDijkstraRouter(g)},
 		{"bounded-sssp", NewBoundedRouter(g, 2*DefaultConfig().MaxFirstMile)},
 		{"hub-labels", hub},
-		{"lru+hub-labels", NewCachedRouter(hub, 1<<15)},
-		{"lru+dijkstra", NewCachedRouter(NewDijkstraRouter(g), 1<<15)},
 	}
 	for _, be := range backends {
 		b.Run(be.name, func(b *testing.B) {
