@@ -63,7 +63,7 @@ func main() {
 		orders := foodmatch.OrderStreamWindow(city, seed, from, to)
 		fleet := city.Fleet(1.0, cfg.MaxO, seed)
 		s, err := foodmatch.NewSimulator(city.G, orders, fleet, r.pol, cfg,
-			foodmatch.SimOptions{Quiet: true, Router: r.router})
+			foodmatch.SimOptions{Router: r.router})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

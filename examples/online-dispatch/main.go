@@ -109,7 +109,7 @@ func main() {
 	simOrders := foodmatch.OrderStreamWindow(city, seed, startSim, endSim)
 	simFleet := city.Fleet(1.0, cfg.MaxO, seed)
 	s, err := foodmatch.NewSimulator(city.G, simOrders, simFleet, foodmatch.NewFoodMatch(),
-		cfg.Clone(), foodmatch.SimOptions{Quiet: true})
+		cfg.Clone(), foodmatch.SimOptions{})
 	if err != nil {
 		fail(err)
 	}

@@ -109,10 +109,11 @@ type (
 	Assignment = pipeline.Assignment
 	// Metrics aggregates the paper's evaluation metrics.
 	Metrics = sim.Metrics
-	// Simulator replays an order stream under a policy.
-	Simulator = sim.Simulator
+	// Simulator replays an order stream under a policy: the offline driver
+	// over the engine's round (one shard, one worker, replayed clock).
+	Simulator = engine.Simulator
 	// SimOptions tunes the simulator.
-	SimOptions = sim.Options
+	SimOptions = engine.SimOptions
 	// HubLabels is the pruned-landmark-labeling distance index. It
 	// implements Router, so it drops into SimOptions.Router or
 	// EngineConfig.NewRouter as the hub-label shortest-path backend.
@@ -130,15 +131,11 @@ type (
 	// counters, gauges and fixed-bucket histograms with Prometheus text
 	// exposition (Engine.Obs, ObsLog.Registry).
 	ObsRegistry = obs.Registry
-	// ObsPhase is one node of a round's span tree (RoundStats.Phases,
-	// RoundTelemetry.Phases).
+	// ObsPhase is one node of a round's span tree (EngineRoundStats.Phases).
 	ObsPhase = obs.Phase
 	// OrderTraceEvent is one order-lifecycle transition from the bounded
 	// trace ring (Engine.TraceTail, GET /trace/orders).
 	OrderTraceEvent = obs.OrderEvent
-	// RoundTelemetry is the offline simulator's per-window telemetry
-	// (SimOptions.OnRound).
-	RoundTelemetry = sim.RoundTelemetry
 	// ObsLog collects per-window telemetry from experiment runs into a
 	// JSONL stream plus aggregate latency histograms; set it as
 	// ExperimentSetup.Obs (cmd/experiments wires one with -obs-out).
@@ -316,7 +313,7 @@ func OrderStreamWindow(c *City, seed int64, from, to float64) []*Order {
 // NewSimulator builds a simulator over a road network, an order stream, a
 // fleet and a policy.
 func NewSimulator(g *Graph, orders []*Order, fleet []*Vehicle, pol Policy, cfg *Config, opts SimOptions) (*Simulator, error) {
-	return sim.New(g, orders, fleet, pol, cfg, opts)
+	return engine.NewSimulator(g, orders, fleet, pol, cfg, opts)
 }
 
 // NewHubLabels builds the pruned-landmark-labeling distance index over a

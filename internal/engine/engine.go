@@ -2,20 +2,20 @@
 // assignment service that wraps the offline FOODMATCH pipeline (batching →
 // FoodGraph → KM matching → reshuffling) behind an event-driven API.
 //
-// Where the offline Simulator replays a pre-generated order stream under a
-// replayed clock, the Engine ingests live order placements and vehicle
-// location pings through bounded queues, accumulates them into ∆-second
-// assignment windows, and at every window boundary runs the assignment
-// round — partitioned into K geographic zone shards, each with its own
-// policy instance and distance cache, matched in parallel. Assignment and
-// reshuffle decisions are published on a channel-based AssignmentStream
-// together with per-round engine metrics (queue depth, round latency,
-// orders/sec).
+// The Engine ingests live order placements and vehicle location pings
+// through bounded queues, accumulates them into ∆-second assignment windows,
+// and at every window boundary runs the assignment round — partitioned into
+// K geographic zone shards, each with its own policy instance and distance
+// cache, matched in parallel. Assignment and reshuffle decisions are
+// published on a channel-based AssignmentStream together with per-round
+// engine metrics (queue depth, round latency, orders/sec).
 //
 // The Engine can be driven two ways: Start launches the real-time window
 // clock (wall-clock ticks mapped onto simulation seconds by a time-scale
 // factor), while Step advances the engine to an explicit instant — the mode
-// replay drivers and tests use for determinism.
+// replay drivers and tests use for determinism. The offline Simulator
+// (offline.go) is such a driver: it replays a pre-generated order stream
+// through a single-shard engine and collects the paper's metrics.
 package engine
 
 import (
@@ -128,9 +128,8 @@ type Config struct {
 	// DecisionGraph, when set, is the road network the assignment pipeline
 	// *believes*: every shard Router and pipeline stage runs over it, while
 	// vehicle movement and SDT admission stay on the true graph — the
-	// online analogue of sim.Options.DecisionGraph and the paper's protocol
-	// of learning weights on past days and driving on reality. Must share
-	// the true graph's topology. Nil = the true graph.
+	// paper's protocol of learning weights on past days and driving on
+	// reality. Must share the true graph's topology. Nil = the true graph.
 	DecisionGraph *roadnet.Graph
 	// Learner, when set, turns on the live traffic plane: every finished
 	// edge traversal streams into it (the mover's Edge hook — the
@@ -590,14 +589,8 @@ func (e *Engine) Shards() int { return e.cfg.Shards }
 // Returns ErrQueueFull when the bounded queue is saturated — callers should
 // shed or retry with backoff.
 func (e *Engine) SubmitOrder(o *model.Order) error {
-	if o == nil {
-		return errors.New("engine: nil order")
-	}
-	if o.Restaurant < 0 || int(o.Restaurant) >= e.g.NumNodes() {
-		return fmt.Errorf("engine: order %d restaurant at invalid node %d", o.ID, o.Restaurant)
-	}
-	if o.Customer < 0 || int(o.Customer) >= e.g.NumNodes() {
-		return fmt.Errorf("engine: order %d customer at invalid node %d", o.ID, o.Customer)
+	if err := e.checkOrder(o); err != nil {
+		return err
 	}
 	if e.cfg.WAL != nil {
 		return e.submitOrderWAL(o)
@@ -610,6 +603,21 @@ func (e *Engine) SubmitOrder(o *model.Order) error {
 		e.countOrderShed()
 		return ErrQueueFull
 	}
+}
+
+// checkOrder rejects an order the road network cannot place — a bad node is
+// an error at the door, not a panic inside Dijkstra.
+func (e *Engine) checkOrder(o *model.Order) error {
+	if o == nil {
+		return errors.New("engine: nil order")
+	}
+	if o.Restaurant < 0 || int(o.Restaurant) >= e.g.NumNodes() {
+		return fmt.Errorf("engine: order %d restaurant at invalid node %d", o.ID, o.Restaurant)
+	}
+	if o.Customer < 0 || int(o.Customer) >= e.g.NumNodes() {
+		return fmt.Errorf("engine: order %d customer at invalid node %d", o.ID, o.Customer)
+	}
+	return nil
 }
 
 // submitOrderWAL is the durable accept path: under walMu the bounded queue's

@@ -10,7 +10,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/policy"
 	"repro/internal/roadnet"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -69,48 +68,37 @@ func distinctAssigned(rec *trace.Recorder) int {
 	return len(seen)
 }
 
-// TestEngineMatchesSimulator replays the CityB dinner peak through the
-// Engine API and checks assignment counts against the offline simulator
-// under the same policy, config and seed (the acceptance bar is 5%).
-func TestEngineMatchesSimulator(t *testing.T) {
+// TestShardedMatchesUnsharded replays the CityB dinner peak through the
+// Engine API at 4 shards and checks assignment and delivery counts against
+// the unsharded engine under the same policy, config and seed (the
+// acceptance bar is 5%).
+func TestShardedMatchesUnsharded(t *testing.T) {
 	city := testCityB
 	start, end := 18.0*3600, 20.0*3600
 
-	// Offline reference.
-	simRec := trace.NewRecorder()
-	orders := workload.OrderStreamWindow(city, 1, start, end)
-	fleet := city.Fleet(1.0, testConfig().MaxO, 1)
-	s, err := sim.New(city.G, orders, fleet, newTestPolicy(), testConfig(), sim.Options{Quiet: true, Trace: simRec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	simMetrics := s.Run(start, end)
-	simAssigned := distinctAssigned(simRec)
-	if simAssigned == 0 {
-		t.Fatal("offline simulator assigned nothing; workload broken")
-	}
-
-	for _, shards := range []int{1, 4} {
+	run := func(shards int) (assigned int, snap Metrics) {
 		orders := workload.OrderStreamWindow(city, 1, start, end)
 		fleet := city.Fleet(1.0, testConfig().MaxO, 1)
 		e, rec := replay(t, city, orders, fleet,
 			Config{Pipeline: testConfig(), Shards: shards}, start, end)
-		engAssigned := distinctAssigned(rec)
-		snap := e.Snapshot()
-		t.Logf("shards=%d: assigned %d (sim %d), delivered %d (sim %d), rejected %d (sim %d), handoffs %d",
-			shards, engAssigned, simAssigned, snap.Delivered, simMetrics.Delivered,
-			snap.Rejected, simMetrics.Rejected, snap.Handoffs)
-		if relDiff(float64(engAssigned), float64(simAssigned)) > 0.05 {
-			t.Errorf("shards=%d: assigned %d, offline sim %d — diverges more than 5%%",
-				shards, engAssigned, simAssigned)
-		}
-		if relDiff(float64(snap.Delivered), float64(simMetrics.Delivered)) > 0.05 {
-			t.Errorf("shards=%d: delivered %d, offline sim %d — diverges more than 5%%",
-				shards, snap.Delivered, simMetrics.Delivered)
-		}
+		snap = e.Snapshot()
 		if int(snap.OrdersAdmitted) != len(orders) {
 			t.Errorf("shards=%d: admitted %d of %d orders", shards, snap.OrdersAdmitted, len(orders))
 		}
+		return distinctAssigned(rec), snap
+	}
+	oneAssigned, one := run(1)
+	if oneAssigned == 0 {
+		t.Fatal("unsharded engine assigned nothing; workload broken")
+	}
+	engAssigned, snap := run(4)
+	t.Logf("shards=4: assigned %d (unsharded %d), delivered %d (unsharded %d), rejected %d (unsharded %d), handoffs %d",
+		engAssigned, oneAssigned, snap.Delivered, one.Delivered, snap.Rejected, one.Rejected, snap.Handoffs)
+	if relDiff(float64(engAssigned), float64(oneAssigned)) > 0.05 {
+		t.Errorf("shards=4: assigned %d, unsharded %d — diverges more than 5%%", engAssigned, oneAssigned)
+	}
+	if relDiff(float64(snap.Delivered), float64(one.Delivered)) > 0.05 {
+		t.Errorf("shards=4: delivered %d, unsharded %d — diverges more than 5%%", snap.Delivered, one.Delivered)
 	}
 }
 

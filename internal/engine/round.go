@@ -116,8 +116,7 @@ func (e *Engine) StepContext(ctx context.Context, now float64) RoundStats {
 }
 
 // drainOrders admits queued orders. Orders placed beyond `now` wait in the
-// future buffer — the online analogue of the simulator injecting only
-// orders with PlacedAt < window end.
+// future buffer until the window that covers them.
 func (e *Engine) drainOrders(now float64) {
 	arrived := false
 	for {
@@ -440,18 +439,16 @@ func (e *Engine) runRound(ctx context.Context, t0, now, drainSec float64) RoundS
 	wg.Wait()
 	matchSec := time.Since(phT).Seconds()
 
-	// ---- Serial application through the shared round logic (window.go —
-	// the same code path the offline simulator runs). Zones hold disjoint
+	// ---- Serial application (sim/window.go). Zones hold disjoint
 	// vehicles, so decisions never conflict; sequential application keeps
 	// the world state single-writer.
 	e.phase("apply")
 	phT = time.Now()
 	w := &sim.RoundWorld{
-		ByID:    e.byID,
-		Motions: e.motions,
-		Mover:   e.mover,
-		Cfg:     cfg,
-		Trace:   e.cfg.Trace,
+		ByID:  e.byID,
+		Mover: e.mover,
+		Cfg:   cfg,
+		Trace: e.cfg.Trace,
 	}
 	assignedVehicles := make(map[model.VehicleID]bool)
 	assignedOrders := make(map[model.OrderID]bool)
@@ -652,7 +649,7 @@ func (e *Engine) shardPhase1(s *shardState, advWorkers int, t0, t1 float64, resh
 
 	// O(ℓ) contribution: the zone pool, then — when reshuffling — every
 	// resident vehicle's assigned-but-unpicked orders, released back to the
-	// pool through the same sim.ReleasePending the offline round runs.
+	// pool (Section IV-D2).
 	out.orders = append(out.orders, s.pool...)
 	if reshuffle {
 		out.incumbent = make(map[model.OrderID]model.VehicleID)
@@ -780,10 +777,9 @@ func (e *Engine) advanceShard(s *shardState, workers int, t0, t1 float64) {
 
 // replanParallel rebuilds plans for restored and stripped-but-unmatched
 // vehicles — the Dijkstra-heavy tail of the round — fanned out per zone so
-// each zone's distance cache is driven by exactly one goroutine. Per
-// vehicle the logic matches sim.RoundWorld.RestoreToIncumbent/
-// ReplanStripped; vehicles are grouped by the zone their node is in (the
-// cache that can answer their queries).
+// each zone's distance cache is driven by exactly one goroutine. Vehicles
+// are grouped by the zone their node is in (the cache that can answer
+// their queries).
 func (e *Engine) replanParallel(now float64, stripped, assigned, restored map[model.VehicleID]bool) {
 	if len(stripped) == 0 && len(restored) == 0 {
 		return

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -80,7 +81,7 @@ func Run(city *workload.City, pol policy.Policy, cfg *model.Config, st Setup) (*
 		cfg = cfg.Clone()
 		cfg.ComputeBudget = st.ComputeBudget
 	}
-	s, err := sim.New(city.G, orders, fleet, pol, cfg, st.obsOptions(sim.Options{Quiet: true}))
+	s, err := engine.NewSimulator(city.G, orders, fleet, pol, cfg, st.obsOptions(engine.SimOptions{}))
 	if err != nil {
 		return nil, err
 	}

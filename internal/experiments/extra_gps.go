@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/engine"
 	"repro/internal/gps"
 	"repro/internal/model"
 	"repro/internal/policy"
@@ -103,8 +104,8 @@ func runWithDecisionGraph(city *workload.City, cfg *model.Config, st Setup, dec 
 	end := st.EndHour * 3600
 	orders := workload.OrderStreamWindow(city, st.Seed, start, end)
 	fleet := city.Fleet(st.FleetFrac, cfg.MaxO, st.Seed)
-	s, err := sim.New(city.G, orders, fleet, policy.NewFoodMatch(), cfg.Clone(),
-		st.obsOptions(sim.Options{Quiet: true, DecisionGraph: dec}))
+	s, err := engine.NewSimulator(city.G, orders, fleet, policy.NewFoodMatch(), cfg.Clone(),
+		st.obsOptions(engine.SimOptions{DecisionGraph: dec}))
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/gps"
 	"repro/internal/policy"
 	"repro/internal/roadnet"
@@ -306,8 +307,8 @@ func learnWeights(city *workload.City, sc workload.Scenario, st Setup, opt Proto
 	for _, day := range sched.LearnDays() {
 		orders := sched.Orders(day, start, end)
 		fleet := sched.Fleet(day, st.FleetFrac, cfg.MaxO)
-		s, err := sim.New(trueG, orders, fleet, policy.NewFoodMatch(), cfg.Clone(),
-			st.obsOptions(sim.Options{Quiet: true, DecisionGraph: city.G, Learner: learner}))
+		s, err := engine.NewSimulator(trueG, orders, fleet, policy.NewFoodMatch(), cfg.Clone(),
+			st.obsOptions(engine.SimOptions{DecisionGraph: city.G, Learner: learner}))
 		if err != nil {
 			return nil, prov, err
 		}
@@ -352,8 +353,8 @@ func runTestDay(sched workload.DaySchedule, day workload.DayPlan,
 	start, end := st.StartHour*3600, st.EndHour*3600
 	orders := sched.Orders(day, start, end)
 	fleet := sched.Fleet(day, st.FleetFrac, cfg.MaxO)
-	s, err := sim.New(trueG, orders, fleet, pol, cfg,
-		st.obsOptions(sim.Options{Quiet: true, SLASec: opt.SLASec, DecisionGraph: decG}))
+	s, err := engine.NewSimulator(trueG, orders, fleet, pol, cfg,
+		st.obsOptions(engine.SimOptions{SLASec: opt.SLASec, DecisionGraph: decG}))
 	if err != nil {
 		return nil, err
 	}

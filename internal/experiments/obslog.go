@@ -5,17 +5,17 @@ import (
 	"io"
 	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 // ObsLog collects observability telemetry from offline simulator runs: one
-// JSONL line per window (the span tree from sim.RoundTelemetry), lifecycle
-// transition histograms fed from the trace stream, and a final
+// JSONL line per window (the engine's RoundStats, span tree included),
+// lifecycle transition histograms fed from the trace stream, and a final
 // `{"kind":"obs_summary"}` line with every metric point — counts, sums and
 // p50/p95/p99 — gathered from its private registry. cmd/experiments wires
-// one in with -obs-out; Setup.Obs threads it through every sim.New the
+// one in with -obs-out; Setup.Obs threads it through every simulator the
 // drivers construct.
 //
 // Safe for concurrent use: drivers that replay several days or regimes may
@@ -29,22 +29,13 @@ type ObsLog struct {
 	reg          *obs.Registry
 	tracer       *obs.OrderTracer
 	roundLatency *obs.Histogram
-	phase        map[string]*obs.Histogram
-	stage        map[string]*obs.Histogram
 	rounds       int64
 }
-
-// simPhases is the offline window's phase vocabulary (sim.RoundTelemetry).
-var simPhases = []string{"inject", "advance", "assign", "apply", "replan"}
 
 // NewObsLog returns a collector writing JSONL to w (which may be nil to
 // collect aggregates only). If w also implements io.Closer, Close closes it.
 func NewObsLog(w io.Writer) *ObsLog {
-	l := &ObsLog{
-		reg:   obs.NewRegistry(),
-		phase: make(map[string]*obs.Histogram, len(simPhases)),
-		stage: make(map[string]*obs.Histogram, len(pipelineStageNames)),
-	}
+	l := &ObsLog{reg: obs.NewRegistry()}
 	if w != nil {
 		l.enc = json.NewEncoder(w)
 		if c, ok := w.(io.Closer); ok {
@@ -53,41 +44,34 @@ func NewObsLog(w io.Writer) *ObsLog {
 	}
 	l.tracer = obs.NewOrderTracer(l.reg, 0)
 	l.roundLatency = l.reg.Histogram("foodmatch_round_latency_seconds",
-		"Policy assignment wall time per window.", obs.DurationBuckets, nil)
-	for _, p := range simPhases {
-		l.phase[p] = l.reg.Histogram("foodmatch_round_phase_seconds",
-			"Wall-clock latency of one phase of the offline window.",
-			obs.DurationBuckets, obs.Labels{"phase": p})
-	}
-	for _, st := range pipelineStageNames {
-		l.stage[st] = l.reg.Histogram("foodmatch_pipeline_stage_seconds",
-			"Wall-clock latency of one assignment-pipeline stage.",
-			obs.DurationBuckets, obs.Labels{"stage": st})
-	}
+		"Wall-clock latency of one full window.", obs.DurationBuckets, nil)
 	return l
 }
-
-var pipelineStageNames = []string{"batch", "sparsify", "reshuffle", "match"}
 
 // Registry exposes the collector's metric registry (tests, Prometheus dumps).
 func (l *ObsLog) Registry() *obs.Registry { return l.reg }
 
-// OnRound implements sim.Options.OnRound: record the window's phase tree
-// into the histograms and append one JSONL line.
-func (l *ObsLog) OnRound(rt sim.RoundTelemetry) {
+// OnRound implements engine.SimOptions.OnRound: record the window's span
+// tree into the histograms — labelled with whatever phase and stage names
+// the engine emits (stages sit under match → shard) — and append one JSONL
+// line.
+func (l *ObsLog) OnRound(rs engine.RoundStats) {
 	if l == nil {
 		return
 	}
-	l.roundLatency.Observe(rt.LatencySec)
-	for _, ph := range rt.Phases {
-		if h := l.phase[ph.Name]; h != nil {
-			h.Observe(ph.DurSec)
+	l.roundLatency.Observe(rs.LatencySec)
+	for _, ph := range rs.Phases {
+		l.reg.Histogram("foodmatch_round_phase_seconds",
+			"Wall-clock latency of one phase of the window's round.",
+			obs.DurationBuckets, obs.Labels{"phase": ph.Name}).Observe(ph.DurSec)
+		if ph.Name != "match" {
+			continue
 		}
-		if ph.Name == "assign" {
-			for _, st := range ph.Children {
-				if h := l.stage[st.Name]; h != nil {
-					h.Observe(st.DurSec)
-				}
+		for _, shard := range ph.Children {
+			for _, st := range shard.Children {
+				l.reg.Histogram("foodmatch_pipeline_stage_seconds",
+					"Wall-clock latency of one assignment-pipeline stage.",
+					obs.DurationBuckets, obs.Labels{"stage": st.Name}).Observe(st.DurSec)
 			}
 		}
 	}
@@ -97,13 +81,13 @@ func (l *ObsLog) OnRound(rt sim.RoundTelemetry) {
 	if l.enc != nil {
 		l.enc.Encode(struct {
 			Kind string `json:"kind"`
-			sim.RoundTelemetry
-		}{Kind: "round", RoundTelemetry: rt})
+			engine.RoundStats
+		}{Kind: "round", RoundStats: rs})
 	}
 }
 
 // TraceSink chains the lifecycle tracer in front of next (nil = discard):
-// pass the result as sim.Options.Trace so order transitions feed the
+// pass the result as engine.SimOptions.Trace so order transitions feed the
 // per-transition latency histograms.
 func (l *ObsLog) TraceSink(next trace.Sink) trace.Sink {
 	if l == nil {
@@ -138,8 +122,8 @@ func (l *ObsLog) Close() error {
 }
 
 // obsOptions decorates base sim options with the Setup's collector (no-op
-// when the setup carries none) — every driver's sim.New goes through this.
-func (st Setup) obsOptions(base sim.Options) sim.Options {
+// when the setup carries none) — every driver's simulator goes through this.
+func (st Setup) obsOptions(base engine.SimOptions) engine.SimOptions {
 	if st.Obs == nil {
 		return base
 	}

@@ -14,7 +14,7 @@ import (
 // TestObsLogCollectsRunTelemetry runs one small experiment cell with an
 // ObsLog attached and pins the JSONL contract: per-window round lines with
 // span trees, a final obs_summary carrying quantiles for round latency,
-// every offline phase, the pipeline stages and lifecycle transitions.
+// the engine's round phases, the pipeline stages and lifecycle transitions.
 func TestObsLogCollectsRunTelemetry(t *testing.T) {
 	var buf bytes.Buffer
 	st := DefaultSetup()
@@ -64,7 +64,7 @@ func TestObsLogCollectsRunTelemetry(t *testing.T) {
 		switch probe.Kind {
 		case "round":
 			roundLines++
-			if len(probe.Phases) == 0 || probe.Phases[0].Name != "inject" {
+			if len(probe.Phases) == 0 || probe.Phases[0].Name != "drain" {
 				t.Fatalf("round line without a span tree: %s", sc.Text())
 			}
 		case "obs_summary":
@@ -85,11 +85,11 @@ func TestObsLogCollectsRunTelemetry(t *testing.T) {
 
 	// Quantiles present for the latency planes the issue names.
 	wantHists := map[string]bool{
-		"foodmatch_round_latency_seconds|":                               false,
-		"foodmatch_round_phase_seconds|phase=assign":                     false,
-		"foodmatch_round_phase_seconds|phase=advance":                    false,
-		"foodmatch_pipeline_stage_seconds|stage=match":                   false,
-		"foodmatch_order_transition_sim_seconds|from=placed,to=assigned": false,
+		"foodmatch_round_latency_seconds|":                                 false,
+		"foodmatch_round_phase_seconds|phase=match":                        false,
+		"foodmatch_round_phase_seconds|phase=advance":                      false,
+		"foodmatch_pipeline_stage_seconds|stage=match":                     false,
+		"foodmatch_order_transition_sim_seconds|from=admitted,to=assigned": false,
 	}
 	for _, p := range summary.Metrics {
 		var lbl []string

@@ -43,8 +43,6 @@ func (s Stage) String() string {
 var canonicalTransitions = [][2]Stage{
 	{StagePlaced, StageAdmitted},    // submit-queue wait (wall-adjacent; sim clock)
 	{StageAdmitted, StageAssigned},  // pool wait until first match
-	{StagePlaced, StageAssigned},    // pool wait (offline sim: placement admits)
-	{StagePlaced, StageRejected},    // never matched (offline sim)
 	{StageAssigned, StageReleased},  // held before a reshuffle stripped it
 	{StageReleased, StageAssigned},  // reshuffle turnaround
 	{StageAssigned, StagePickedUp},  // en-route to pickup

@@ -119,7 +119,7 @@ type GraphSparsifier interface {
 
 // Reshuffler adjusts the constructed graph's edge weights using incumbent
 // information — stage 3 of the reshuffling mechanism (Section IV-D2). The
-// pool release/restore half lives in the window loop (sim.RoundWorld).
+// pool release/restore half lives in the engine's round (engine/round.go).
 type Reshuffler interface {
 	Name() string
 	// Adjust mutates bp.Cost in place (true edges only).

@@ -27,7 +27,7 @@ type Metrics struct {
 	// WaitSec is Σ vehicle idle time at restaurants (the WT metric).
 	WaitSec float64
 
-	// SLAViolations counts deliveries that exceeded Options.SLASec
+	// SLAViolations counts deliveries that exceeded SimOptions.SLASec
 	// (0 when the threshold is disabled).
 	SLAViolations int
 
@@ -91,7 +91,7 @@ func (m *Metrics) OrdersPerKm() float64 {
 }
 
 // SLAViolationRate returns the fraction of delivered orders that breached
-// the Options.SLASec threshold.
+// the SimOptions.SLASec threshold.
 func (m *Metrics) SLAViolationRate() float64 {
 	if m.Delivered == 0 {
 		return 0

@@ -1,3 +1,10 @@
+// Package sim is the movement model and the paper's evaluation metrics: the
+// Mover drives each vehicle continuously along its route plan — edge by
+// edge, each edge traversed at the β(e,t) of its entry time — handling
+// restaurant waits (food not ready), pickups and dropoffs; Metrics
+// aggregates what Section V reports; window.go holds the apply helpers of
+// the assignment round. The round itself — online and offline — lives in
+// internal/engine.
 package sim
 
 import (
@@ -10,8 +17,7 @@ import (
 
 // Motion tracks one vehicle's progress along its route plan: the residual
 // node path of the current leg and how far along the current edge the
-// vehicle is. It is the movement state shared by the offline Simulator and
-// the online dispatch engine.
+// vehicle is.
 type Motion struct {
 	V *model.Vehicle
 	// path holds the remaining nodes of the current leg; path[0] is the node
@@ -70,7 +76,7 @@ type MoveHooks struct {
 // Mover advances vehicles through simulated time on a road network: it
 // drives the current leg edge by edge (each edge traversed at the β(e,t) of
 // its entry time), waits at restaurants when food is not ready, picks up and
-// drops off. Both the offline Simulator and the online engine own one.
+// drops off.
 //
 // A Mover is stateless apart from its configuration; concurrent Advance
 // calls on *distinct* Motions are safe as long as the hooks and trace sink

@@ -1,11 +1,13 @@
-package sim
+package sim_test
 
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/gps"
 	"repro/internal/policy"
 	"repro/internal/roadnet"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -17,23 +19,22 @@ func TestScenarioWeightsMoveMetrics(t *testing.T) {
 	city := workload.MustPreset("CityA", workload.DefaultScale, 1)
 	start, end := 18.5*3600, 19.5*3600
 
-	run := func(trueG *roadnet.Graph, opts Options) *Metrics {
+	run := func(trueG *roadnet.Graph, opts engine.SimOptions) *sim.Metrics {
 		orders := workload.OrderStreamWindow(city, 1, start, end)
 		fleet := city.Fleet(1.0, 3, 1)
 		cfg := testConfig()
-		opts.Quiet = true
-		s, err := New(trueG, orders, fleet, policy.NewFoodMatch(), cfg, opts)
+		s, err := engine.NewSimulator(trueG, orders, fleet, policy.NewFoodMatch(), cfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s.Run(start, end)
 	}
 
-	base := run(city.G, Options{})
+	base := run(city.G, engine.SimOptions{})
 	rushG := workload.DinnerRush(1.8).Apply(city.G)
 	// The policy still *believes* the dry profile: decisions on city.G,
 	// movement on the rushed reality — stale-weight operation.
-	rushed := run(rushG, Options{DecisionGraph: city.G})
+	rushed := run(rushG, engine.SimOptions{DecisionGraph: city.G})
 
 	if base.Delivered == 0 || rushed.Delivered == 0 {
 		t.Fatalf("degenerate runs: delivered %d vs %d", base.Delivered, rushed.Delivered)
@@ -48,7 +49,7 @@ func TestScenarioWeightsMoveMetrics(t *testing.T) {
 }
 
 // TestSimLearnerClosesLoop runs the offline form of the live pipeline: a
-// replay on a rained-on reality with Options.Learner collecting edge
+// replay on a rained-on reality with SimOptions.Learner collecting edge
 // traversals, whose exported weights — applied to the dry prior via
 // Reweighted — must reproduce the rained-on β on every observed cell.
 func TestSimLearnerClosesLoop(t *testing.T) {
@@ -59,8 +60,8 @@ func TestSimLearnerClosesLoop(t *testing.T) {
 
 	orders := workload.OrderStreamWindow(city, 1, start, end)
 	fleet := city.Fleet(1.0, 3, 1)
-	s, err := New(rainG, orders, fleet, policy.NewFoodMatch(), testConfig(),
-		Options{Quiet: true, DecisionGraph: city.G, Learner: learner})
+	s, err := engine.NewSimulator(rainG, orders, fleet, policy.NewFoodMatch(), testConfig(),
+		engine.SimOptions{DecisionGraph: city.G, Learner: learner})
 	if err != nil {
 		t.Fatal(err)
 	}

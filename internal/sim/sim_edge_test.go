@@ -1,9 +1,10 @@
-package sim
+package sim_test
 
 import (
 	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/policy"
@@ -68,7 +69,7 @@ func TestStrandedOrderOnOneWayTrap(t *testing.T) {
 	o := &model.Order{ID: 1, Restaurant: r, Customer: c, PlacedAt: 0, Items: 1, Prep: 30, AssignedTo: -1}
 	v := model.NewVehicle(1, a, 3)
 	cfg := testConfig()
-	s, err := New(g, []*model.Order{o}, []*model.Vehicle{v}, policy.NewFoodMatch(), cfg, Options{Quiet: true})
+	s, err := engine.NewSimulator(g, []*model.Order{o}, []*model.Vehicle{v}, policy.NewFoodMatch(), cfg, engine.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestIncumbentStickinessUnderTies(t *testing.T) {
 	v1 := model.NewVehicle(1, 0, 3)
 	v2 := model.NewVehicle(2, 40, 3)
 	cfg := testConfig()
-	s, err := New(g, []*model.Order{o}, []*model.Vehicle{v1, v2}, policy.NewFoodMatch(), cfg, Options{Quiet: true})
+	s, err := engine.NewSimulator(g, []*model.Order{o}, []*model.Vehicle{v1, v2}, policy.NewFoodMatch(), cfg, engine.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +203,8 @@ func TestDecisionGraphSeparation(t *testing.T) {
 	o := mkOrder(1, 5, 10, 10, 120)
 	v := model.NewVehicle(1, 0, 3)
 	cfg := testConfig()
-	s, err := New(g, []*model.Order{o}, []*model.Vehicle{v}, policy.NewFoodMatch(), cfg,
-		Options{Quiet: true, DecisionGraph: slow})
+	s, err := engine.NewSimulator(g, []*model.Order{o}, []*model.Vehicle{v}, policy.NewFoodMatch(), cfg,
+		engine.SimOptions{DecisionGraph: slow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +222,8 @@ func TestDecisionGraphSeparation(t *testing.T) {
 func TestDecisionGraphMismatchRejected(t *testing.T) {
 	g := lineCity(20, 30)
 	other := lineCity(5, 30)
-	if _, err := New(g, nil, nil, policy.NewFoodMatch(), testConfig(),
-		Options{DecisionGraph: other}); err == nil {
+	if _, err := engine.NewSimulator(g, nil, nil, policy.NewFoodMatch(), testConfig(),
+		engine.SimOptions{DecisionGraph: other}); err == nil {
 		t.Fatal("mismatched decision graph accepted")
 	}
 }
@@ -234,7 +235,7 @@ func TestMetricsReportingPaths(t *testing.T) {
 	v := model.NewVehicle(1, 0, 3)
 	cfg := testConfig()
 	cfg.ComputeBudget = 1e-12
-	s, err := New(g, []*model.Order{o}, []*model.Vehicle{v}, policy.NewFoodMatch(), cfg, Options{Quiet: true})
+	s, err := engine.NewSimulator(g, []*model.Order{o}, []*model.Vehicle{v}, policy.NewFoodMatch(), cfg, engine.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

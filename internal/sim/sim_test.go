@@ -1,13 +1,15 @@
-package sim
+package sim_test
 
 import (
 	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/policy"
 	"repro/internal/roadnet"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -35,11 +37,11 @@ func mkOrder(id model.OrderID, r, c roadnet.NodeID, placed, prep float64) *model
 	return &model.Order{ID: id, Restaurant: r, Customer: c, PlacedAt: placed, Items: 1, Prep: prep, AssignedTo: -1}
 }
 
-func runSim(t *testing.T, g *roadnet.Graph, orders []*model.Order, vehicles []*model.Vehicle, pol policy.Policy, cfg *model.Config, horizon float64) *Metrics {
+func runSim(t *testing.T, g *roadnet.Graph, orders []*model.Order, vehicles []*model.Vehicle, pol policy.Policy, cfg *model.Config, horizon float64) *sim.Metrics {
 	t.Helper()
-	s, err := New(g, orders, vehicles, pol, cfg, Options{Quiet: true})
+	s, err := engine.NewSimulator(g, orders, vehicles, pol, cfg, engine.SimOptions{})
 	if err != nil {
-		t.Fatalf("sim.New: %v", err)
+		t.Fatalf("NewSimulator: %v", err)
 	}
 	m := s.Run(0, horizon)
 	if err := m.Validate(); err != nil {
@@ -218,12 +220,12 @@ func TestVehicleCapacityNeverExceeded(t *testing.T) {
 	}
 	v := model.NewVehicle(1, 0, 3)
 	cfg := testConfig()
-	s, err := New(g, orders, []*model.Vehicle{v}, policy.NewFoodMatch(), cfg, Options{Quiet: true})
+	s, err := engine.NewSimulator(g, orders, []*model.Vehicle{v}, policy.NewFoodMatch(), cfg, engine.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Step manually and check the invariant after every window.
-	done := make(chan *Metrics, 1)
+	done := make(chan *sim.Metrics, 1)
 	go func() { done <- s.Run(0, 3600) }()
 	m := <-done
 	if err := m.Validate(); err != nil {
@@ -256,7 +258,7 @@ func TestOverflowAccounting(t *testing.T) {
 func TestInvalidVehicleNode(t *testing.T) {
 	g := lineCity(5, 30)
 	v := model.NewVehicle(1, 99, 3)
-	if _, err := New(g, nil, []*model.Vehicle{v}, policy.NewFoodMatch(), testConfig(), Options{}); err == nil {
+	if _, err := engine.NewSimulator(g, nil, []*model.Vehicle{v}, policy.NewFoodMatch(), testConfig(), engine.SimOptions{}); err == nil {
 		t.Fatal("off-graph vehicle accepted")
 	}
 }
@@ -265,7 +267,7 @@ func TestInvalidConfigRejected(t *testing.T) {
 	g := lineCity(5, 30)
 	cfg := testConfig()
 	cfg.Delta = 0
-	if _, err := New(g, nil, nil, policy.NewFoodMatch(), cfg, Options{}); err == nil {
+	if _, err := engine.NewSimulator(g, nil, nil, policy.NewFoodMatch(), cfg, engine.SimOptions{}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -307,7 +309,7 @@ func TestMetricsSlotAttribution(t *testing.T) {
 	o := mkOrder(1, 5, 10, 13*3600+10, 120)
 	v := model.NewVehicle(1, 0, 3)
 	cfg := testConfig()
-	s, err := New(g, []*model.Order{o}, []*model.Vehicle{v}, policy.NewFoodMatch(), cfg, Options{Quiet: true})
+	s, err := engine.NewSimulator(g, []*model.Order{o}, []*model.Vehicle{v}, policy.NewFoodMatch(), cfg, engine.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +326,7 @@ func TestMetricsSlotAttribution(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	build := func() *Metrics {
+	build := func() *sim.Metrics {
 		g := lineCity(40, 30)
 		var orders []*model.Order
 		for i := 0; i < 10; i++ {
@@ -333,7 +335,7 @@ func TestDeterministicRuns(t *testing.T) {
 		}
 		vs := []*model.Vehicle{model.NewVehicle(1, 0, 3), model.NewVehicle(2, 39, 3)}
 		cfg := testConfig()
-		s, err := New(g, orders, vs, policy.NewFoodMatch(), cfg, Options{Quiet: true})
+		s, err := engine.NewSimulator(g, orders, vs, policy.NewFoodMatch(), cfg, engine.SimOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +354,7 @@ func TestTraceIntegration(t *testing.T) {
 	v := model.NewVehicle(1, 0, 3)
 	cfg := testConfig()
 	rec := trace.NewRecorder()
-	s, err := New(g, []*model.Order{o1, o2}, []*model.Vehicle{v}, policy.NewFoodMatch(), cfg, Options{Quiet: true, Trace: rec})
+	s, err := engine.NewSimulator(g, []*model.Order{o1, o2}, []*model.Vehicle{v}, policy.NewFoodMatch(), cfg, engine.SimOptions{Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,31 +8,22 @@ import (
 	"repro/internal/trace"
 )
 
-// RoundWorld bundles the mutable world state the end-of-window application
-// phase operates on: pooling pending orders for reshuffle, applying the
-// policy's assignments, restoring unplaced orders to their incumbents and
-// replanning stripped vehicles. The offline Simulator and the online engine
-// share this logic so their decisions stay identical round for round; only
-// how the policy itself is invoked (single loop vs parallel zone shards)
-// differs between them.
+// RoundWorld bundles the world state the application phase of a round
+// mutates: attaching the policy's assignments to vehicles and restoring
+// unplaced reshuffled orders to their incumbents. Its one caller is the
+// engine's round (engine/round.go), which replans per zone shard through
+// ReplanAfterRound.
 type RoundWorld struct {
-	ByID    map[model.VehicleID]*Motion
-	Motions []*Motion
-	Mover   *Mover
-	Cfg     *model.Config
-	Trace   trace.Sink
-	// Router is the distance oracle RestoreToIncumbent and ReplanStripped
-	// replan with (the engine replans per zone shard through
-	// ReplanAfterRound instead and leaves it nil).
-	Router roadnet.Router
+	ByID  map[model.VehicleID]*Motion
+	Mover *Mover
+	Cfg   *model.Config
+	Trace trace.Sink
 }
 
 // ReleasePending implements the reshuffle release (Section IV-D2) for one
 // vehicle: its assigned-but-unpicked orders return to the pool, their
 // incumbents recorded. Returns the extended order slice and whether
-// anything was released. Shared by the offline round (StripPending) and the
-// online engine's parallel per-shard phase, so release semantics cannot
-// drift between the two.
+// anything was released.
 func ReleasePending(v *model.Vehicle, now float64, sink trace.Sink, orders []*model.Order,
 	incumbent map[model.OrderID]model.VehicleID) ([]*model.Order, bool) {
 	if len(v.Pending) == 0 {
@@ -47,23 +38,6 @@ func ReleasePending(v *model.Vehicle, now float64, sink trace.Sink, orders []*mo
 	}
 	v.Pending = v.Pending[:0]
 	return orders, true
-}
-
-// StripPending implements the reshuffle release (Section IV-D2): every
-// vehicle's assigned-but-unpicked orders return to the pool. It appends the
-// released orders to `orders` and returns the extended slice, the incumbent
-// map (order -> vehicle it was stripped from) and the stripped-vehicle set.
-func (w *RoundWorld) StripPending(now float64, orders []*model.Order) ([]*model.Order, map[model.OrderID]model.VehicleID, map[model.VehicleID]bool) {
-	incumbent := make(map[model.OrderID]model.VehicleID)
-	stripped := make(map[model.VehicleID]bool)
-	for _, mo := range w.Motions {
-		var released bool
-		orders, released = ReleasePending(mo.V, now, w.Trace, orders, incumbent)
-		if released {
-			stripped[mo.V.ID] = true
-		}
-	}
-	return orders, incumbent, stripped
 }
 
 // Applied describes one applied assignment decision.
@@ -103,29 +77,11 @@ func (w *RoundWorld) ApplyAssignments(now float64, as []policy.Assignment,
 	return applied
 }
 
-// RestoreToIncumbent gives a reshuffled order the matching did not place
-// anywhere back to its previous vehicle — reshuffling looks for *better*
-// vehicles, it never strands an order that already had one. The incumbent
-// may have received a new batch this round; restore only while capacity
-// allows, replanning each restored vehicle with the restored pickups
-// included. Returns the restored-vehicle set.
-func (w *RoundWorld) RestoreToIncumbent(now float64, orders []*model.Order,
-	incumbent map[model.OrderID]model.VehicleID, assignedOrders map[model.OrderID]bool) map[model.VehicleID]bool {
-	restored := w.DecideRestores(now, orders, incumbent, assignedOrders)
-	for _, mo := range w.Motions {
-		if restored[mo.V.ID] {
-			ReplanAfterRound(w.Router, w.Mover, mo, now, true)
-		}
-	}
-	return restored
-}
-
 // ReplanAfterRound rebuilds one vehicle's plan after the application phase:
 // a restored vehicle gets a full quickest plan over its onboard dropoffs
 // and (restored) pending pickups; a stripped-but-unmatched vehicle gets a
 // dropoff-only plan — or an empty one when nothing is onboard — keeping its
-// old dropoff order as the fallback when optimisation fails. Shared by the
-// offline round and the online engine's parallel per-zone replan.
+// old dropoff order as the fallback when optimisation fails.
 func ReplanAfterRound(rt roadnet.Router, m *Mover, mo *Motion, now float64, restored bool) {
 	v := mo.V
 	switch {
@@ -142,11 +98,13 @@ func ReplanAfterRound(rt roadnet.Router, m *Mover, mo *Motion, now float64, rest
 	}
 }
 
-// DecideRestores is the decision half of RestoreToIncumbent: it re-attaches
-// unplaced reshuffled orders to their incumbents and returns the
-// restored-vehicle set, leaving the (independent, Dijkstra-heavy) per-vehicle
-// replanning to the caller — the online engine fans that part out per zone
-// shard while the offline simulator runs it inline.
+// DecideRestores gives a reshuffled order the matching did not place
+// anywhere back to its previous vehicle — reshuffling looks for *better*
+// vehicles, it never strands an order that already had one. The incumbent
+// may have received a new batch this round; restore only while capacity
+// allows. Returns the restored-vehicle set, leaving the (independent,
+// Dijkstra-heavy) per-vehicle replanning to the caller, which fans it out
+// per zone shard.
 func (w *RoundWorld) DecideRestores(now float64, orders []*model.Order,
 	incumbent map[model.OrderID]model.VehicleID, assignedOrders map[model.OrderID]bool) map[model.VehicleID]bool {
 	restored := make(map[model.VehicleID]bool)
@@ -176,38 +134,9 @@ func (w *RoundWorld) DecideRestores(now float64, orders []*model.Order,
 	return restored
 }
 
-// ReplanStripped rebuilds dropoff-only plans for vehicles whose pending
-// orders were pooled by reshuffling but which received no new assignment.
-// Vehicles that had orders restored to them already got a full plan (with
-// the restored pickups) and must keep it.
-func (w *RoundWorld) ReplanStripped(now float64, stripped, assigned, restored map[model.VehicleID]bool) {
-	if len(stripped) == 0 {
-		return
-	}
-	for _, mo := range w.Motions {
-		v := mo.V
-		if !stripped[v.ID] || assigned[v.ID] || restored[v.ID] {
-			continue
-		}
-		ReplanAfterRound(w.Router, w.Mover, mo, now, false)
-	}
-}
-
-// PoolCarry reports whether an order stays in the pool after a round — the
-// single carry predicate shared by the offline RebuildPool and the online
-// engine's per-zone pool rebuild, so the two paths cannot drift.
+// PoolCarry reports whether an order stays in the pool after a round.
 func PoolCarry(o *model.Order, assignedOrders map[model.OrderID]bool) bool {
 	return !assignedOrders[o.ID] && o.State == model.OrderPlaced
-}
-
-// RebuildPool keeps the orders not assigned anywhere, reusing dst's storage.
-func RebuildPool(orders []*model.Order, assignedOrders map[model.OrderID]bool, dst []*model.Order) []*model.Order {
-	for _, o := range orders {
-		if PoolCarry(o, assignedOrders) {
-			dst = append(dst, o)
-		}
-	}
-	return dst
 }
 
 func (w *RoundWorld) setPlan(v *model.Vehicle, plan *model.RoutePlan) {

@@ -24,10 +24,10 @@ type Kind string
 // Event kinds.
 const (
 	OrderPlaced Kind = "order_placed"
-	// OrderAdmitted marks the order entering the dispatch pool. In the online
-	// engine its T is the admission clock, so T(admitted) - T(placed) is the
-	// submit-queue plus future-order wait; offline injection admits within the
-	// window that covers placement.
+	// OrderAdmitted marks the order entering the dispatch pool. Its T is the
+	// admission clock, so T(admitted) - T(placed) is the submit-queue plus
+	// future-order wait; an offline replay admits within the window that
+	// covers placement.
 	OrderAdmitted  Kind = "order_admitted"
 	OrderAssigned  Kind = "order_assigned"
 	OrderReleased  Kind = "order_released" // reshuffled back to the pool
@@ -44,7 +44,11 @@ type Event struct {
 	T       float64         `json:"t"` // simulation clock, seconds since midnight
 	Order   model.OrderID   `json:"order,omitempty"`
 	Vehicle model.VehicleID `json:"vehicle,omitempty"`
-	// Window metadata (WindowClosed).
+	// Window metadata (WindowClosed): |O(ℓ)|, |V(ℓ)|, the number of *orders*
+	// the round attached to vehicles (not batches, so PoolSize − Assignments
+	// is the backlog), and the slowest shard's Assign wall time. One
+	// WindowClosed is emitted per window — empty ones included — after the
+	// window's assignment events.
 	PoolSize    int     `json:"pool,omitempty"`
 	Vehicles    int     `json:"vehicles,omitempty"`
 	Assignments int     `json:"assignments,omitempty"`

@@ -17,7 +17,7 @@ func replayCity(t *testing.T, scale, from, to float64, pol Policy, router Router
 	cfg := ExperimentConfig("CityB", scale)
 	orders := OrderStreamWindow(city, 1, from, to)
 	fleet := city.Fleet(1.0, cfg.MaxO, 1)
-	s, err := NewSimulator(city.G, orders, fleet, pol, cfg, SimOptions{Quiet: true, Router: router})
+	s, err := NewSimulator(city.G, orders, fleet, pol, cfg, SimOptions{Router: router})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestSimulatorContextCancellation(t *testing.T) {
 	cfg := ExperimentConfig("CityB", 0.02)
 	orders := OrderStreamWindow(city, 1, from, to)
 	fleet := city.Fleet(1.0, cfg.MaxO, 1)
-	s, err := NewSimulator(city.G, orders, fleet, NewFoodMatch(), cfg, SimOptions{Quiet: true})
+	s, err := NewSimulator(city.G, orders, fleet, NewFoodMatch(), cfg, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
