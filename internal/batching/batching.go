@@ -22,6 +22,7 @@ package batching
 import (
 	"container/heap"
 	"math"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/roadnet"
@@ -62,18 +63,22 @@ type Result struct {
 	AvgCostTrace []float64
 }
 
-// batchNode is a live node of the order graph.
+// batchNode is a node of the order graph.
 type batchNode struct {
-	batch   *model.Batch
-	version int  // bumped on every mutation; stale heap entries are skipped
-	dead    bool // merged away
+	batch *model.Batch
+	// stops holds, per order of the batch, the numbers of its restaurant and
+	// customer in the window's leg table; first is the number of the plan's
+	// first pickup (the radius test's anchor).
+	stops []int32
+	first int32
+	dead  bool // merged away
 }
 
-// mergeEdge is a candidate merge in the lazy-deletion heap.
+// mergeEdge is a candidate merge in the lazy-deletion heap. Nodes are never
+// mutated, only merged away, so an edge is stale exactly when an end is dead.
 type mergeEdge struct {
-	i, j   int // node indices
-	vi, vj int // node versions at insertion
-	w      float64
+	i, j int // node indices
+	w    float64
 }
 
 type edgeHeap []mergeEdge
@@ -88,6 +93,19 @@ func (h *edgeHeap) Pop() interface{} {
 	e := old[n-1]
 	*h = old[:n-1]
 	return e
+}
+
+// window is the state of one Run: the order graph, its candidate heap, and
+// the one leg table and route search every merge evaluation shares. The table
+// spans the window's distinct restaurant and customer nodes — every stop any
+// batch of these orders can ever visit — so pricing ~n² candidate merges
+// indexes arrays; the router is asked once per (stop, slot) row.
+type window struct {
+	opt    Options
+	nodes  []*batchNode
+	heap   edgeHeap
+	legs   *routing.LegTable
+	search *routing.Search
 }
 
 // Run executes Algorithm 1 over the window's unassigned orders and returns
@@ -112,9 +130,28 @@ func Run(rt roadnet.Router, orders []*model.Order, opt Options) *Result {
 		return p
 	}
 
-	nodes := make([]*batchNode, 0, len(orders))
-	sumCost := 0.0 // tracked (possibly age-neutralised) total batch cost
+	// Number the window's distinct stop nodes.
+	var stopNodes []roadnet.NodeID
+	number := make(map[roadnet.NodeID]int32, 2*len(orders))
+	stopOf := func(u roadnet.NodeID) int32 {
+		k, ok := number[u]
+		if !ok {
+			k = int32(len(stopNodes))
+			number[u] = k
+			stopNodes = append(stopNodes, u)
+		}
+		return k
+	}
+	stops := make([]int32, 0, 2*len(orders))
 	for _, o := range orders {
+		stops = append(stops, stopOf(o.Restaurant), stopOf(o.Customer))
+	}
+	w := &window{opt: opt, legs: routing.NewLegTable(rt, stopNodes, opt.Now)}
+	w.search = w.legs.NewSearch()
+
+	w.nodes = make([]*batchNode, 0, len(orders))
+	sumCost := 0.0 // tracked (possibly age-neutralised) total batch cost
+	for i, o := range orders {
 		b, ok := singleton(rt, o, opt.Now)
 		if !ok {
 			// An order whose own restaurant→customer leg is unreachable can
@@ -125,36 +162,25 @@ func Run(rt roadnet.Router, orders []*model.Order, opt Options) *Result {
 				{Node: o.Customer, Order: o, Kind: model.Dropoff},
 			}}, Cost: math.Inf(1)}
 		}
-		nodes = append(nodes, &batchNode{batch: b})
+		w.nodes = append(w.nodes, &batchNode{batch: b, stops: stops[2*i : 2*i+2 : 2*i+2], first: stops[2*i]})
 		if !math.IsInf(b.Cost, 1) {
 			sumCost += b.Cost - agePenalty(b.Orders)
 		}
 	}
-	liveCount := len(nodes)
+	liveCount := len(w.nodes)
 	res.AvgCostTrace = append(res.AvgCostTrace, sumCost/float64(liveCount))
 
-	// With a finite radius the O(n²) candidate loop probes pairwise
-	// first-pickup distances; precompute them with one many-to-many query
-	// per distinct restaurant instead of one point query per ordered pair.
-	// Merged batches always start at some member order's restaurant, so the
-	// table stays closed under merges.
-	var radii *radiusTable
-	if !math.IsInf(opt.Radius, 1) {
-		radii = newRadiusTable(rt, orders, opt.Now)
-	}
-
-	h := &edgeHeap{}
 	// Initial candidate edges.
-	for i := 0; i < len(nodes); i++ {
-		for j := i + 1; j < len(nodes); j++ {
-			pushEdge(rt, radii, h, nodes, i, j, opt)
+	for i := 0; i < len(w.nodes); i++ {
+		for j := i + 1; j < len(w.nodes); j++ {
+			w.pushEdge(i, j)
 		}
 	}
 
-	for h.Len() > 0 && liveCount > 1 {
-		e := heap.Pop(h).(mergeEdge)
-		ni, nj := nodes[e.i], nodes[e.j]
-		if ni.dead || nj.dead || ni.version != e.vi || nj.version != e.vj {
+	for w.heap.Len() > 0 && liveCount > 1 {
+		e := heap.Pop(&w.heap).(mergeEdge)
+		ni, nj := w.nodes[e.i], w.nodes[e.j]
+		if ni.dead || nj.dead {
 			continue // stale
 		}
 		// Stopping criterion: stop when even the cheapest merge would push
@@ -166,29 +192,39 @@ func Run(rt roadnet.Router, orders []*model.Order, opt Options) *Result {
 		if (sumCost+e.w)/float64(liveCount-1) > opt.Eta {
 			break
 		}
-		merged, ok := mergeBatches(rt, ni.batch, nj.batch, opt.Now)
+		// The heap carried only w(i,j); the executed merge repeats the search
+		// to get the plan (~n/3 merges against ~n² candidates per window).
+		cost, ok := w.price(ni, nj)
 		if !ok {
 			continue
 		}
-		// Cost(π_ij) = Cost(π_i) + Cost(π_j) + w(i,j); all known — O(1).
+		merged := &model.Batch{
+			Orders: slices.Concat(ni.batch.Orders, nj.batch.Orders),
+			Plan:   w.search.Plan(),
+			Cost:   cost,
+		}
 		ni.dead, nj.dead = true, true
 		liveCount--
 		sumCost += merged.Cost - agePenalty(merged.Orders) -
 			(ni.batch.Cost - agePenalty(ni.batch.Orders)) -
 			(nj.batch.Cost - agePenalty(nj.batch.Orders))
-		nodes = append(nodes, &batchNode{batch: merged})
-		mi := len(nodes) - 1
+		w.nodes = append(w.nodes, &batchNode{
+			batch: merged,
+			stops: slices.Concat(ni.stops, nj.stops),
+			first: number[merged.FirstPickupNode()],
+		})
+		mi := len(w.nodes) - 1
 		res.Merges++
 		res.AvgCostTrace = append(res.AvgCostTrace, sumCost/float64(liveCount))
 		// Connect the merged node to all live nodes.
 		for k := 0; k < mi; k++ {
-			if !nodes[k].dead {
-				pushEdge(rt, radii, h, nodes, k, mi, opt)
+			if !w.nodes[k].dead {
+				w.pushEdge(k, mi)
 			}
 		}
 	}
 
-	for _, n := range nodes {
+	for _, n := range w.nodes {
 		if !n.dead {
 			res.Batches = append(res.Batches, n.batch)
 		}
@@ -212,110 +248,44 @@ func singleton(rt roadnet.Router, o *model.Order, now float64) (*model.Batch, bo
 	return &model.Batch{Orders: []*model.Order{o}, Plan: plan, Cost: cost}, true
 }
 
-// radiusTable memoises pairwise travel times between the window's distinct
-// restaurant nodes — the universe every batch's first pickup is drawn from —
-// with one many-to-many query per node instead of one point query per
-// ordered candidate pair.
-type radiusTable struct {
-	rt   roadnet.Router
-	now  float64
-	pos  map[roadnet.NodeID]int32
-	rows [][]float64
-}
-
-func newRadiusTable(rt roadnet.Router, orders []*model.Order, now float64) *radiusTable {
-	t := &radiusTable{rt: rt, now: now, pos: make(map[roadnet.NodeID]int32)}
-	var nodes []roadnet.NodeID
-	for _, o := range orders {
-		if _, ok := t.pos[o.Restaurant]; !ok {
-			t.pos[o.Restaurant] = int32(len(nodes))
-			nodes = append(nodes, o.Restaurant)
+// price computes Cost(π_i ∪ π_j) under the merged batch's quickest route
+// plan, the simulated vehicle starting at that plan's first pickup; the plan
+// itself stays behind w.search.Plan for the merges that are executed.
+func (w *window) price(ni, nj *batchNode) (float64, bool) {
+	s := w.search
+	s.Reset()
+	for _, n := range [2]*batchNode{ni, nj} {
+		for k, o := range n.batch.Orders {
+			s.Add(o, int(n.stops[2*k]), int(n.stops[2*k+1]))
 		}
 	}
-	t.rows = make([][]float64, len(nodes))
-	for i, u := range nodes {
-		t.rows[i] = roadnet.TravelMany(rt, u, nodes, now)
-	}
-	return t
+	return s.FromFirstPickup(w.opt.Now)
 }
 
-// dist returns SP(u,v,now); nodes outside the table (impossible for batches
-// built from this window's orders, but cheap to keep correct) fall back to a
-// point query.
-func (t *radiusTable) dist(u, v roadnet.NodeID) float64 {
-	iu, uok := t.pos[u]
-	iv, vok := t.pos[v]
-	if uok && vok {
-		return t.rows[iu][iv]
-	}
-	return t.rt.Travel(u, v, t.now)
-}
-
-// pushEdge evaluates the merge of nodes i and j and, when feasible, pushes
-// the candidate edge onto the heap. radii is non-nil iff opt.Radius is
-// finite.
-func pushEdge(rt roadnet.Router, radii *radiusTable, h *edgeHeap, nodes []*batchNode, i, j int, opt Options) {
-	bi, bj := nodes[i].batch, nodes[j].batch
-	if len(bi.Orders)+len(bj.Orders) > opt.MaxO {
+// pushEdge prices the merge of nodes i and j and, when it is feasible,
+// pushes the candidate edge w(i,j) (Eq. 5) onto the heap.
+func (w *window) pushEdge(i, j int) {
+	ni, nj := w.nodes[i], w.nodes[j]
+	bi, bj := ni.batch, nj.batch
+	if len(bi.Orders)+len(bj.Orders) > w.opt.MaxO {
 		return
 	}
-	if bi.Items()+bj.Items() > opt.MaxI {
+	if bi.Items()+bj.Items() > w.opt.MaxI {
 		return
 	}
 	if math.IsInf(bi.Cost, 1) || math.IsInf(bj.Cost, 1) {
 		return
 	}
-	if radii != nil {
-		d := radii.dist(bi.FirstPickupNode(), bj.FirstPickupNode())
-		dr := radii.dist(bj.FirstPickupNode(), bi.FirstPickupNode())
-		if d > opt.Radius && dr > opt.Radius {
+	if !math.IsInf(w.opt.Radius, 1) {
+		now := w.opt.Now
+		if w.legs.Leg(int(ni.first), int(nj.first), now) > w.opt.Radius &&
+			w.legs.Leg(int(nj.first), int(ni.first), now) > w.opt.Radius {
 			return
 		}
 	}
-	merged, ok := mergeBatches(rt, bi, bj, opt.Now)
+	cost, ok := w.price(ni, nj)
 	if !ok {
 		return
 	}
-	w := merged.Cost - bi.Cost - bj.Cost
-	heap.Push(h, mergeEdge{i: i, j: j, vi: nodes[i].version, vj: nodes[j].version, w: w})
-}
-
-// mergeBatches computes the batch π_i ∪ π_j with its optimal route plan,
-// the simulated vehicle starting at the merged plan's first pickup node.
-func mergeBatches(rt roadnet.Router, bi, bj *model.Batch, now float64) (*model.Batch, bool) {
-	orders := make([]*model.Order, 0, len(bi.Orders)+len(bj.Orders))
-	orders = append(orders, bi.Orders...)
-	orders = append(orders, bj.Orders...)
-	plan, cost, ok := optimizeFromFirstPickup(rt, now, orders)
-	if !ok {
-		return nil, false
-	}
-	return &model.Batch{Orders: orders, Plan: plan, Cost: cost}, true
-}
-
-// optimizeFromFirstPickup finds the quickest plan over all choices of
-// starting restaurant: the simulated vehicle is placed at the first pickup
-// of the plan (Section IV-B1: "the initial location of each simulated
-// vehicle is the first location in the optimal route plan"), so every
-// order's restaurant is tried as the start.
-func optimizeFromFirstPickup(rt roadnet.Router, now float64, orders []*model.Order) (*model.RoutePlan, float64, bool) {
-	bestCost := math.Inf(1)
-	var bestPlan *model.RoutePlan
-	tried := make(map[roadnet.NodeID]bool, len(orders))
-	for _, first := range orders {
-		start := first.Restaurant
-		if tried[start] {
-			continue
-		}
-		tried[start] = true
-		plan, cost, ok := routing.Optimize(rt, start, now, nil, orders)
-		if ok && cost < bestCost {
-			bestCost = cost
-			bestPlan = plan
-		}
-	}
-	if bestPlan == nil {
-		return nil, 0, false
-	}
-	return bestPlan, bestCost, true
+	heap.Push(&w.heap, mergeEdge{i: i, j: j, w: cost - bi.Cost - bj.Cost})
 }

@@ -36,3 +36,6 @@ func BenchmarkBatching30Full(b *testing.B)   { benchmarkRun(b, 30, math.Inf(1)) 
 func BenchmarkBatching60Full(b *testing.B)   { benchmarkRun(b, 60, math.Inf(1)) }
 func BenchmarkBatching60Radius(b *testing.B) { benchmarkRun(b, 60, 600) }
 func BenchmarkBatching120Full(b *testing.B)  { benchmarkRun(b, 120, math.Inf(1)) }
+
+// The dinner-peak pool of the perf ledger: 230 orders mean, 321 max.
+func BenchmarkBatching240Full(b *testing.B) { benchmarkRun(b, 240, math.Inf(1)) }

@@ -98,13 +98,18 @@ type Bipartite struct {
 }
 
 // buildScratch pools the per-Build working set: the batch start index, the
-// distinct first-pickup target list for many-to-many first-mile queries, and
-// the per-vehicle best-first search state (epoch-stamped visited array and
-// frontier heap) reused across every vehicle in the window.
+// distinct first-pickup target list for many-to-many first-mile queries, the
+// per-vehicle base costs, and the per-vehicle best-first search state
+// (epoch-stamped visited array and frontier heap) reused across every vehicle
+// in the window.
 type buildScratch struct {
 	startIdx map[roadnet.NodeID][]int
 	targets  []roadnet.NodeID // distinct first-pickup nodes, first-encounter order
 	tpos     []int32          // per-batch index into targets
+	// base[j] is Cost(v_j, onboard ∪ keep), the subtrahend of every mCost on
+	// vehicle j's edges: priced on the vehicle's first edge, NaN until then.
+	base     []float64
+	extended []*model.Order // keep ∪ batch, rebuilt per edge
 	visited  []uint32
 	vepoch   uint32
 	pq       nodeHeap
@@ -140,7 +145,14 @@ func Build(g *roadnet.Graph, rt roadnet.Router, batches []*model.Batch, vehicles
 	}
 
 	sc := scratchPool.Get().(*buildScratch)
-	defer scratchPool.Put(sc)
+	defer func() {
+		clear(sc.extended[:cap(sc.extended)]) // no order outlives the window in the pool
+		scratchPool.Put(sc)
+	}()
+	sc.base = sc.base[:0]
+	for range vehicles {
+		sc.base = append(sc.base, math.NaN())
+	}
 
 	// Index batches by their first pickup node (I(u) of Algorithm 2) and
 	// assign each batch its slot in the distinct-target list.
@@ -184,7 +196,7 @@ func Build(g *roadnet.Graph, rt roadnet.Router, batches []*model.Batch, vehicles
 func fullEdges(rt roadnet.Router, batches []*model.Batch, sc *buildScratch, vs *VehicleState, j int, bp *Bipartite, opt Options) {
 	fm := roadnet.TravelMany(rt, vs.Node, sc.targets, opt.Now)
 	for i, b := range batches {
-		setEdge(rt, b, vs, i, j, bp, opt, fm[sc.tpos[i]])
+		setEdge(rt, sc, b, vs, i, j, bp, opt, fm[sc.tpos[i]])
 	}
 }
 
@@ -195,10 +207,15 @@ func bestFirstEdges(g *roadnet.Graph, rt roadnet.Router, batches []*model.Batch,
 	startIdx := sc.startIdx
 	source := vs.Node
 	locPt := g.Point(source)
-	var destPt geo.Point
-	hasDest := vs.Dest != roadnet.Invalid && vs.Dest != source
-	if hasDest {
-		destPt = g.Point(vs.Dest)
+	// Θ(loc, dest), the vehicle's heading, is the half of adist (Section
+	// IV-D1) that no relaxed edge changes; geo.AngularDistance would recompute
+	// it per edge. The guards are its own: adist is 0 when dest or the
+	// candidate coincides with loc.
+	angular, heading := false, 0.0
+	if opt.Angular && vs.Dest != roadnet.Invalid && vs.Dest != source {
+		if destPt := g.Point(vs.Dest); destPt != locPt {
+			angular, heading = true, geo.Bearing(locPt, destPt)
+		}
 	}
 	maxBeta := g.MaxBeta(opt.Now)
 
@@ -207,12 +224,15 @@ func bestFirstEdges(g *roadnet.Graph, rt roadnet.Router, batches []*model.Batch,
 	// location towards the candidate node u', per Section IV-D1.
 	alphaWeight := func(e roadnet.Edge) float64 {
 		beta := g.EdgeTime(e, opt.Now) / maxBeta
-		if !opt.Angular || !hasDest {
+		if !angular {
 			// With no heading (idle vehicle) the directional term is 0; the
 			// paper defines adist only for moving vehicles.
 			return opt.Gamma * beta
 		}
-		ad := geo.AngularDistance(locPt, destPt, g.Point(e.To))
+		ad := 0.0
+		if u := g.Point(e.To); u != locPt {
+			ad = (1 - math.Cos(heading-geo.Bearing(locPt, u))) / 2
+		}
 		return (1-opt.Gamma)*ad + opt.Gamma*beta
 	}
 
@@ -246,7 +266,7 @@ func bestFirstEdges(g *roadnet.Graph, rt roadnet.Router, batches []*model.Batch,
 		if bis := startIdx[u]; len(bis) > 0 {
 			startsLeft--
 			for _, bi := range bis {
-				if setEdge(rt, batches[bi], vs, bi, j, bp, opt, math.NaN()) {
+				if setEdge(rt, sc, batches[bi], vs, bi, j, bp, opt, math.NaN()) {
 					degree++
 				}
 			}
@@ -263,7 +283,7 @@ func bestFirstEdges(g *roadnet.Graph, rt roadnet.Router, batches []*model.Batch,
 // whether a true (non-Ω) edge was added. fm is the precomputed first-mile
 // distance SP(loc(v), π[1]ʳ, Now) from a batched query, or NaN to resolve it
 // here (the best-first path, which must stay lazy to preserve its pruning).
-func setEdge(rt roadnet.Router, b *model.Batch, vs *VehicleState, i, j int, bp *Bipartite, opt Options, fm float64) bool {
+func setEdge(rt roadnet.Router, sc *buildScratch, b *model.Batch, vs *VehicleState, i, j int, bp *Bipartite, opt Options, fm float64) bool {
 	// Capacity feasibility (Definition 4).
 	if vs.BaseOrders()+len(b.Orders) > opt.MaxO {
 		return false
@@ -278,10 +298,23 @@ func setEdge(rt roadnet.Router, b *model.Batch, vs *VehicleState, i, j int, bp *
 	if fm > opt.MaxFirstMile {
 		return false
 	}
-	plan, mc, ok := routing.MarginalCost(rt, vs.Node, opt.Now, vs.Onboard, vs.Keep, b.Orders)
+	// mCost = Cost(v, onboard ∪ keep ∪ π) − Cost(v, onboard ∪ keep) (Eq. 7).
+	base := sc.base[j]
+	if math.IsNaN(base) {
+		base = routing.Cost(rt, vs.Node, opt.Now, vs.Onboard, vs.Keep)
+		sc.base[j] = base
+	}
+	if math.IsInf(base, 1) {
+		// The vehicle's existing workload is already unreachable (should not
+		// happen on strongly connected networks): no batch can extend it.
+		return false
+	}
+	sc.extended = append(append(sc.extended[:0], vs.Keep...), b.Orders...)
+	plan, total, ok := routing.Optimize(rt, vs.Node, opt.Now, vs.Onboard, sc.extended)
 	if !ok {
 		return false
 	}
+	mc := total - base
 	// w(o,v) = min(mCost, Ω) per the FOODGRAPH weight definition.
 	if mc >= opt.Omega {
 		bp.Cost[i][j] = opt.Omega

@@ -110,6 +110,56 @@ func TestFullGraphCostsMatchMarginalCost(t *testing.T) {
 	}
 }
 
+// TestEdgeCostsMatchMarginalCostLoadedVehicles pins Eq. 7 on vehicles that
+// already carry work: Build prices Cost(v, onboard ∪ keep) once per vehicle
+// and reuses it on every edge, which must be bit for bit the mCost (and the
+// plan) routing.MarginalCost computes edge by edge.
+func TestEdgeCostsMatchMarginalCostLoadedVehicles(t *testing.T) {
+	g, sp := gridGraph(6, 30)
+	rng := rand.New(rand.NewSource(8))
+	node := func() roadnet.NodeID { return roadnet.NodeID(rng.Intn(36)) }
+	var batches []*model.Batch
+	for i := 0; i < 10; i++ {
+		batches = append(batches, mkBatch(sp, mkOrder(sp, model.OrderID(i+1), node(), node())))
+	}
+	var vehicles []*VehicleState
+	for j := 0; j < 6; j++ {
+		vs := idleVehicle(model.VehicleID(j+1), node())
+		if j%3 != 0 {
+			o := mkOrder(sp, model.OrderID(100+j), node(), node())
+			o.State = model.OrderPickedUp
+			vs.Onboard = []*model.Order{o}
+			vs.Dest = o.Customer
+		}
+		if j%2 == 1 {
+			vs.Keep = []*model.Order{mkOrder(sp, model.OrderID(200+j), node(), node())}
+		}
+		vehicles = append(vehicles, vs)
+	}
+	for _, bestFirst := range []bool{false, true} {
+		bp := Build(g, sp, batches, vehicles, defaultOpts(4, bestFirst))
+		if bp.TrueEdges == 0 {
+			t.Fatal("no true edges to compare")
+		}
+		for i, b := range batches {
+			for j, vs := range vehicles {
+				if bp.Plan[i][j] == nil {
+					continue
+				}
+				plan, want, ok := routing.MarginalCost(sp, vs.Node, 0, vs.Onboard, vs.Keep, b.Orders)
+				if !ok || math.Float64bits(bp.Cost[i][j]) != math.Float64bits(want) {
+					t.Fatalf("bestFirst=%v Cost[%d][%d] = %v, MarginalCost = %v (ok=%v)", bestFirst, i, j, bp.Cost[i][j], want, ok)
+				}
+				for k := range plan.Stops {
+					if plan.Stops[k] != bp.Plan[i][j].Stops[k] {
+						t.Fatalf("bestFirst=%v Plan[%d][%d] = %v, MarginalCost plan %v", bestFirst, i, j, bp.Plan[i][j].Stops, plan.Stops)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBestFirstDegreeBound(t *testing.T) {
 	g, sp := gridGraph(6, 30)
 	var batches []*model.Batch

@@ -157,3 +157,45 @@ func TestBackendsAgreeOnCityGraphs(t *testing.T) {
 		})
 	}
 }
+
+// TestTravelConstantWithinSlot pins the Router contract routing.LegTable
+// memoises on: over one weight epoch an answer depends on t only through
+// Slot(t). Every backend, and a SwapRouter in front of one, must return
+// bitwise the same distance at both ends of a slot (one step inside the hour
+// and one ulp before the next), one day later, and through TravelMany; and
+// the slot must matter — some pair must change when the hour does.
+func TestTravelConstantWithinSlot(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const n = 50
+	g := intGraph(rng, n, 150)
+	backends := append(allBackends(g), struct {
+		name string
+		rt   roadnet.Router
+	}{"swap", roadnet.NewSwapRouter(g, func(g *roadnet.Graph) roadnet.Router { return roadnet.NewBoundedRouter(g, math.Inf(1)) })})
+	for _, be := range backends {
+		t.Run(be.name, func(t *testing.T) {
+			differs := false
+			for trial := 0; trial < 200; trial++ {
+				from, to := roadnet.NodeID(rng.Intn(n)), roadnet.NodeID(rng.Intn(n))
+				slot := rng.Intn(roadnet.SlotsPerDay)
+				lo := float64(slot) * 3600
+				hi := math.Nextafter(lo+3600, 0)
+				want := be.rt.Travel(from, to, lo)
+				for _, at := range []float64{lo + 1e-9, lo + 1800, hi, lo + roadnet.SecondsPerDay} {
+					if got := be.rt.Travel(from, to, at); got != want {
+						t.Fatalf("Travel(%d->%d) = %v at %v but %v at %v: not constant within slot %d", from, to, got, at, want, lo, slot)
+					}
+				}
+				if many := roadnet.TravelMany(be.rt, from, []roadnet.NodeID{to}, hi); many[0] != want {
+					t.Fatalf("TravelMany(%d->%d, %v) = %v, Travel says %v", from, to, hi, many[0], want)
+				}
+				if be.rt.Travel(from, to, lo+3600) != want {
+					differs = true
+				}
+			}
+			if !differs {
+				t.Fatal("no pair changed across a slot boundary: the fixture does not exercise time dependence")
+			}
+		})
+	}
+}

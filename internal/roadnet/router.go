@@ -10,6 +10,13 @@ import (
 // (seconds since midnight), or +Inf when `to` is unreachable (or beyond a
 // backend's expansion bound).
 //
+// Time dependence is per slot: every backend prices the whole path in the
+// weight profile of Slot(t), so over one weight epoch Travel(u, v, t) ==
+// Travel(u, v, t') whenever Slot(t) == Slot(t'), and may differ otherwise.
+// TravelMany is the same answers, target by target. Callers rely on both:
+// routing.LegTable memoises a leg per (from, to, slot), not per departure
+// instant.
+//
 // Every layer — routing, batching, FoodGraph construction, the pipeline
 // stages, the simulator and the online engine — takes this interface and
 // nothing else, so backends (per-query Dijkstra, bounded single-source

@@ -94,120 +94,43 @@ func evaluate(rt roadnet.Router, start roadnet.NodeID, startTime float64, stops 
 // `toPickup`. Returns the plan and its cost, or ok=false when no feasible
 // plan exists (some leg unreachable).
 //
-// The search enumerates all stop sequences respecting pickup-before-dropoff
-// with branch-and-bound pruning: XDT contributions accrue per dropoff and
-// are non-decreasing in time, so a partial cost already exceeding the best
-// complete plan can be cut.
+// It is one Search over a per-call LegTable: each distinct (stop, stop,
+// slot) leg is asked of the router at most once.
 func Optimize(rt roadnet.Router, start roadnet.NodeID, startTime float64, onboard, toPickup []*model.Order) (*model.RoutePlan, float64, bool) {
-	n := len(onboard) + len(toPickup)
-	if n == 0 {
+	if len(onboard)+len(toPickup) == 0 {
 		return &model.RoutePlan{}, 0, true
 	}
-
-	// Minimising ΣXDT = Σ(dropTime − PlacedAt − SDT) is the same as
-	// minimising Σ dropTime, because the placement and SDT terms are
-	// constants of the order set. Branch-and-bound on the partial
-	// Σ dropTime is admissible: dropoff instants are positive and every
-	// remaining dropoff happens after the current clock, so
-	// partial + remaining·now lower-bounds any completion.
-	type searchState struct {
-		node    roadnet.NodeID
-		t       float64
-		dropSum float64
-	}
-	best := math.Inf(1) // best complete Σ dropTime
-	var bestSeq []model.Stop
-	seq := make([]model.Stop, 0, 2*n)
-
-	droppedOnboard := make([]bool, len(onboard))
-	picked := make([]bool, len(toPickup))
-	dropped := make([]bool, len(toPickup))
-	remaining := n // dropoffs still owed
-
-	var dfs func(st searchState)
-	dfs = func(st searchState) {
-		if st.dropSum+float64(remaining)*st.t >= best {
-			return
-		}
-		if remaining == 0 {
-			best = st.dropSum
-			bestSeq = append(bestSeq[:0], seq...)
-			return
-		}
-		tryStop := func(s model.Stop, undo func()) {
-			leg := rt.Travel(st.node, s.Node, st.t)
-			if math.IsInf(leg, 1) {
-				undo()
-				return
-			}
-			nt := st.t + leg
-			nd := st.dropSum
-			if s.Kind == model.Pickup {
-				if ready := s.Order.ReadyAt(); nt < ready {
-					nt = ready
-				}
-			} else {
-				nd += nt
-			}
-			seq = append(seq, s)
-			dfs(searchState{node: s.Node, t: nt, dropSum: nd})
-			seq = seq[:len(seq)-1]
-			undo()
-		}
-		for i, o := range onboard {
-			if droppedOnboard[i] {
-				continue
-			}
-			droppedOnboard[i] = true
-			remaining--
-			tryStop(model.Stop{Node: o.Customer, Order: o, Kind: model.Dropoff}, func() {
-				droppedOnboard[i] = false
-				remaining++
-			})
-		}
-		for i, o := range toPickup {
-			if dropped[i] {
-				continue
-			}
-			if !picked[i] {
-				picked[i] = true
-				tryStop(model.Stop{Node: o.Restaurant, Order: o, Kind: model.Pickup}, func() {
-					picked[i] = false
-				})
-			} else {
-				dropped[i] = true
-				remaining--
-				tryStop(model.Stop{Node: o.Customer, Order: o, Kind: model.Dropoff}, func() {
-					dropped[i] = false
-					remaining++
-				})
-			}
-		}
-	}
-	dfs(searchState{node: start, t: startTime})
-
-	if math.IsInf(best, 1) {
+	s, cost, ok := quickest(rt, start, startTime, onboard, toPickup)
+	defer s.release()
+	if !ok {
 		return nil, 0, false
 	}
-	constTerm := 0.0
-	for _, o := range onboard {
-		constTerm += o.PlacedAt + o.SDT
-	}
-	for _, o := range toPickup {
-		constTerm += o.PlacedAt + o.SDT
-	}
-	return &model.RoutePlan{Stops: bestSeq}, best - constTerm, true
+	return s.Plan(), cost, true
+}
+
+// quickest runs Optimize's search on a pooled Search, which the caller
+// releases once it has read the plan (or not).
+func quickest(rt roadnet.Router, start roadnet.NodeID, startTime float64, onboard, toPickup []*model.Order) (*Search, float64, bool) {
+	s := acquire()
+	at := s.number(start, onboard, toPickup)
+	s.own.reset(rt, startTime)
+	cost, ok := s.solve(at, startTime)
+	return s, cost, ok
 }
 
 // Cost computes Cost(v, O) (Eq. 4): the total XDT of the vehicle's order set
 // under its quickest route plan, with the vehicle at `start` at `startTime`.
 // Returns +Inf when infeasible.
 func Cost(rt roadnet.Router, start roadnet.NodeID, startTime float64, onboard, toPickup []*model.Order) float64 {
-	_, c, ok := Optimize(rt, start, startTime, onboard, toPickup)
+	if len(onboard)+len(toPickup) == 0 {
+		return 0
+	}
+	s, cost, ok := quickest(rt, start, startTime, onboard, toPickup)
+	s.release()
 	if !ok {
 		return math.Inf(1)
 	}
-	return c
+	return cost
 }
 
 // MarginalCost computes mCost(π, v) (Eq. 3 generalised to batches, Eq. 7):
@@ -215,23 +138,28 @@ func Cost(rt roadnet.Router, start roadnet.NodeID, startTime float64, onboard, t
 // at `start` carrying `onboard` (picked up) and `pending` (assigned, not
 // picked up). The base cost covers onboard+pending; the extended cost adds
 // the batch. Returns the new optimal plan alongside; ok=false when the
-// extended set is infeasible.
+// extended set is infeasible. Both searches read one leg table.
 func MarginalCost(rt roadnet.Router, start roadnet.NodeID, startTime float64, onboard, pending, add []*model.Order) (*model.RoutePlan, float64, bool) {
-	base := Cost(rt, start, startTime, onboard, pending)
-	if math.IsInf(base, 1) {
+	s := acquire()
+	defer s.release()
+	at := s.number(start, onboard, pending, add)
+	s.own.reset(rt, startTime)
+
+	extended := s.orders
+	s.orders = extended[:len(pending)]
+	base, ok := s.solve(at, startTime)
+	if !ok {
 		// The vehicle's existing workload is already unreachable (should not
 		// happen on strongly connected networks); treat extension as
 		// infeasible.
 		return nil, 0, false
 	}
-	extended := make([]*model.Order, 0, len(pending)+len(add))
-	extended = append(extended, pending...)
-	extended = append(extended, add...)
-	plan, total, ok := Optimize(rt, start, startTime, onboard, extended)
+	s.orders = extended
+	total, ok := s.solve(at, startTime)
 	if !ok {
 		return nil, 0, false
 	}
-	return plan, total - base, true
+	return s.Plan(), total - base, true
 }
 
 // EDT computes the expected delivery time of a single order assigned to a

@@ -3,6 +3,7 @@ package routing
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/geo"
@@ -247,45 +248,314 @@ func bruteForce(sp roadnet.Router, start roadnet.NodeID, startTime float64, onbo
 	return best
 }
 
-func TestOptimizeMatchesBruteForce(t *testing.T) {
-	g, sp := paperGraph(t)
-	rng := rand.New(rand.NewSource(21))
-	n := g.NumNodes()
-	for trial := 0; trial < 120; trial++ {
-		numOrders := 1 + rng.Intn(3)
-		numOnboard := rng.Intn(2)
-		var onboard, toPickup []*model.Order
-		id := model.OrderID(1)
-		for i := 0; i < numOnboard; i++ {
-			o := &model.Order{
-				ID: id, Restaurant: roadnet.NodeID(rng.Intn(n)), Customer: roadnet.NodeID(rng.Intn(n)),
-				PlacedAt: float64(rng.Intn(100)), Items: 1, Prep: float64(rng.Intn(20)),
-				State: model.OrderPickedUp,
-			}
-			o.SDT = SDT(sp, o)
-			onboard = append(onboard, o)
-			id++
-		}
-		for i := 0; i < numOrders; i++ {
-			o := &model.Order{
-				ID: id, Restaurant: roadnet.NodeID(rng.Intn(n)), Customer: roadnet.NodeID(rng.Intn(n)),
-				PlacedAt: float64(rng.Intn(100)), Items: 1, Prep: float64(rng.Intn(20)),
-			}
-			o.SDT = SDT(sp, o)
-			toPickup = append(toPickup, o)
-			id++
-		}
-		start := roadnet.NodeID(rng.Intn(n))
-		startTime := float64(rng.Intn(200))
-		_, got, ok := Optimize(sp, start, startTime, onboard, toPickup)
-		want := bruteForce(sp, start, startTime, onboard, toPickup)
-		if !ok {
-			t.Fatalf("trial %d: optimize infeasible, brute force = %v", trial, want)
-		}
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("trial %d: optimize = %v, brute force = %v", trial, got, want)
+// slotGraph is a ring of n-1 nodes with chords whose two congestion zones
+// carry multipliers that differ slot by slot, plus a dead-end node n-1 that
+// can be entered but not left, so some legs are unreachable. hop scales every
+// edge time: a few seconds keeps a plan inside one slot, ~20 min makes it
+// span three.
+func slotGraph(n int, hop float64) (*roadnet.Graph, roadnet.Router) {
+	b := roadnet.NewBuilder()
+	for i := 0; i < n; i++ {
+		b.AddNode(geo.Point{Lat: float64(i) * 0.01, Lon: float64(i%3) * 0.01})
+	}
+	var m1, m2 [roadnet.SlotsPerDay]float64
+	for s := range m1 {
+		m1[s] = 1 + 0.37*float64(s%5)
+		m2[s] = 2.5 - 0.21*float64(s%7)
+	}
+	z1, z2 := b.AddZone(m1), b.AddZone(m2)
+	ring := n - 1
+	for i := 0; i < ring; i++ {
+		u, v := roadnet.NodeID(i), roadnet.NodeID((i+1)%ring)
+		w := hop * float64(1+i%4)
+		b.AddEdge(u, v, w*10, w, z1)
+		b.AddEdge(v, u, w*10, w*1.3, z2)
+		if i%3 == 0 {
+			c := roadnet.NodeID((i + ring/2) % ring)
+			b.AddEdge(u, c, w*30, w*2.1, z2)
 		}
 	}
+	b.AddEdge(0, roadnet.NodeID(ring), hop*10, hop, z1)
+	g := b.MustBuild()
+	return g, roadnet.NewBoundedRouter(g, math.Inf(1))
+}
+
+// randomProblem draws one Optimize-shaped problem of at most maxN orders
+// (onboard included); nodes repeat often on purpose, so restaurants are
+// shared and zero-length legs occur.
+func randomProblem(rng *rand.Rand, sp roadnet.Router, nodes, maxN int, startTime float64) (start roadnet.NodeID, onboard, toPickup []*model.Order) {
+	numOnboard := rng.Intn(2)
+	numOrders := 1 + rng.Intn(maxN-numOnboard)
+	mk := func(id int) *model.Order {
+		o := &model.Order{
+			ID: model.OrderID(id), Restaurant: roadnet.NodeID(rng.Intn(nodes)), Customer: roadnet.NodeID(rng.Intn(nodes)),
+			PlacedAt: startTime - float64(rng.Intn(100)), Items: 1, Prep: float64(rng.Intn(140)),
+		}
+		o.SDT = SDT(sp, o)
+		return o
+	}
+	for i := 0; i < numOnboard; i++ {
+		o := mk(i + 1)
+		o.State = model.OrderPickedUp
+		onboard = append(onboard, o)
+	}
+	for i := 0; i < numOrders; i++ {
+		toPickup = append(toPickup, mk(numOnboard+i+1))
+	}
+	return roadnet.NodeID(rng.Intn(nodes)), onboard, toPickup
+}
+
+func TestOptimizeMatchesBruteForce(t *testing.T) {
+	_, paper := paperGraph(t)
+	_, short := slotGraph(12, 3)
+	_, long := slotGraph(12, 900)
+	worlds := []struct {
+		name      string
+		sp        roadnet.Router
+		nodes     int
+		startTime func(*rand.Rand) float64
+	}{
+		{"one zone", paper, 10, func(r *rand.Rand) float64 { return float64(r.Intn(200)) }},
+		{"slot edge", short, 12, func(r *rand.Rand) float64 { return 3590 + float64(r.Intn(21)) }},
+		{"three slots", long, 12, func(r *rand.Rand) float64 { return 7000 + float64(r.Intn(400)) }},
+		{"midnight", short, 12, func(r *rand.Rand) float64 { return 86340 + float64(r.Intn(61)) }},
+	}
+	for _, w := range worlds {
+		rng := rand.New(rand.NewSource(21))
+		for trial := 0; trial < 120; trial++ {
+			startTime := w.startTime(rng)
+			start, onboard, toPickup := randomProblem(rng, w.sp, w.nodes, 3, startTime)
+			plan, got, ok := Optimize(w.sp, start, startTime, onboard, toPickup)
+			want := bruteForce(w.sp, start, startTime, onboard, toPickup)
+			if !ok {
+				if !math.IsInf(want, 1) {
+					t.Fatalf("%s trial %d: optimize infeasible, brute force = %v", w.name, trial, want)
+				}
+				continue
+			}
+			if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
+				t.Fatalf("%s trial %d: optimize = %v, brute force = %v", w.name, trial, got, want)
+			}
+			if replay, ok := Evaluate(w.sp, start, startTime, plan); !ok || math.Abs(replay-got) > 1e-9*(1+math.Abs(got)) {
+				t.Fatalf("%s trial %d: plan replays to %v (ok=%v), optimize said %v", w.name, trial, replay, ok, got)
+			}
+		}
+	}
+}
+
+// optimizeReference is the closure DFS that Optimize was before Search and
+// LegTable replaced it, kept verbatim as the differential oracle: it asks the
+// router at every expansion.
+func optimizeReference(rt roadnet.Router, start roadnet.NodeID, startTime float64, onboard, toPickup []*model.Order) (*model.RoutePlan, float64, bool) {
+	n := len(onboard) + len(toPickup)
+	if n == 0 {
+		return &model.RoutePlan{}, 0, true
+	}
+
+	// Minimising ΣXDT = Σ(dropTime − PlacedAt − SDT) is the same as
+	// minimising Σ dropTime, because the placement and SDT terms are
+	// constants of the order set. Branch-and-bound on the partial
+	// Σ dropTime is admissible: dropoff instants are positive and every
+	// remaining dropoff happens after the current clock, so
+	// partial + remaining·now lower-bounds any completion.
+	type searchState struct {
+		node    roadnet.NodeID
+		t       float64
+		dropSum float64
+	}
+	best := math.Inf(1) // best complete Σ dropTime
+	var bestSeq []model.Stop
+	seq := make([]model.Stop, 0, 2*n)
+
+	droppedOnboard := make([]bool, len(onboard))
+	picked := make([]bool, len(toPickup))
+	dropped := make([]bool, len(toPickup))
+	remaining := n // dropoffs still owed
+
+	var dfs func(st searchState)
+	dfs = func(st searchState) {
+		if st.dropSum+float64(remaining)*st.t >= best {
+			return
+		}
+		if remaining == 0 {
+			best = st.dropSum
+			bestSeq = append(bestSeq[:0], seq...)
+			return
+		}
+		tryStop := func(s model.Stop, undo func()) {
+			leg := rt.Travel(st.node, s.Node, st.t)
+			if math.IsInf(leg, 1) {
+				undo()
+				return
+			}
+			nt := st.t + leg
+			nd := st.dropSum
+			if s.Kind == model.Pickup {
+				if ready := s.Order.ReadyAt(); nt < ready {
+					nt = ready
+				}
+			} else {
+				nd += nt
+			}
+			seq = append(seq, s)
+			dfs(searchState{node: s.Node, t: nt, dropSum: nd})
+			seq = seq[:len(seq)-1]
+			undo()
+		}
+		for i, o := range onboard {
+			if droppedOnboard[i] {
+				continue
+			}
+			droppedOnboard[i] = true
+			remaining--
+			tryStop(model.Stop{Node: o.Customer, Order: o, Kind: model.Dropoff}, func() {
+				droppedOnboard[i] = false
+				remaining++
+			})
+		}
+		for i, o := range toPickup {
+			if dropped[i] {
+				continue
+			}
+			if !picked[i] {
+				picked[i] = true
+				tryStop(model.Stop{Node: o.Restaurant, Order: o, Kind: model.Pickup}, func() {
+					picked[i] = false
+				})
+			} else {
+				dropped[i] = true
+				remaining--
+				tryStop(model.Stop{Node: o.Customer, Order: o, Kind: model.Dropoff}, func() {
+					dropped[i] = false
+					remaining++
+				})
+			}
+		}
+	}
+	dfs(searchState{node: start, t: startTime})
+
+	if math.IsInf(best, 1) {
+		return nil, 0, false
+	}
+	constTerm := 0.0
+	for _, o := range onboard {
+		constTerm += o.PlacedAt + o.SDT
+	}
+	for _, o := range toPickup {
+		constTerm += o.PlacedAt + o.SDT
+	}
+	return &model.RoutePlan{Stops: bestSeq}, best - constTerm, true
+}
+
+func samePlan(a, b *model.RoutePlan) bool {
+	if (a == nil) != (b == nil) {
+		return false
+	}
+	if a == nil {
+		return true
+	}
+	if len(a.Stops) != len(b.Stops) {
+		return false
+	}
+	for i := range a.Stops {
+		if a.Stops[i] != b.Stops[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSearchMatchesReference holds Optimize, Cost and MarginalCost to the
+// closure DFS bit for bit — same stop sequence, math.Float64bits-equal cost —
+// on worlds with shared restaurants, unreachable legs and plans that cross
+// one, two and the midnight slot boundary.
+func TestSearchMatchesReference(t *testing.T) {
+	_, short := slotGraph(12, 3)
+	_, long := slotGraph(12, 900)
+	worlds := []struct {
+		name string
+		sp   roadnet.Router
+		t0   float64
+		span int
+	}{
+		{"mid slot", short, 19 * 3600, 1800},
+		{"slot edge", short, 3590, 21},
+		{"three slots", long, 7000, 400},
+		{"midnight", short, 86340, 61},
+	}
+	bits := math.Float64bits
+	for _, w := range worlds {
+		rng := rand.New(rand.NewSource(5))
+		for trial := 0; trial < 300; trial++ {
+			startTime := w.t0 + float64(rng.Intn(w.span))
+			start, onboard, toPickup := randomProblem(rng, w.sp, 12, 4, startTime)
+
+			wantPlan, want, wantOK := optimizeReference(w.sp, start, startTime, onboard, toPickup)
+			plan, got, ok := Optimize(w.sp, start, startTime, onboard, toPickup)
+			if ok != wantOK || bits(got) != bits(want) || !samePlan(plan, wantPlan) {
+				t.Fatalf("%s trial %d: Optimize = (%v, %v, %v), reference (%v, %v, %v)",
+					w.name, trial, plan, got, ok, wantPlan, want, wantOK)
+			}
+			wantCost := math.Inf(1)
+			if wantOK {
+				wantCost = want
+			}
+			if c := Cost(w.sp, start, startTime, onboard, toPickup); bits(c) != bits(wantCost) {
+				t.Fatalf("%s trial %d: Cost = %v, reference %v", w.name, trial, c, wantCost)
+			}
+
+			// mCost of the last order joining the rest.
+			pending, add := toPickup[:len(toPickup)-1], toPickup[len(toPickup)-1:]
+			_, base, baseOK := optimizeReference(w.sp, start, startTime, onboard, pending)
+			mPlan, mc, mOK := MarginalCost(w.sp, start, startTime, onboard, pending, add)
+			if mOK != (baseOK && wantOK) {
+				t.Fatalf("%s trial %d: MarginalCost ok=%v, reference base ok=%v extended ok=%v", w.name, trial, mOK, baseOK, wantOK)
+			}
+			if mOK && (bits(mc) != bits(want-base) || !samePlan(mPlan, wantPlan)) {
+				t.Fatalf("%s trial %d: MarginalCost = (%v, %v), reference (%v, %v)", w.name, trial, mPlan, mc, wantPlan, want-base)
+			}
+		}
+	}
+}
+
+// TestOptimizeConcurrent calls Optimize from 8 goroutines over one shared
+// DijkstraRouter: pooled Searches must never be shared between calls in
+// flight, so every answer equals the serial one. Run under -race.
+func TestOptimizeConcurrent(t *testing.T) {
+	g, _ := slotGraph(12, 40)
+	rt := roadnet.NewDijkstraRouter(g)
+	type problem struct {
+		start             roadnet.NodeID
+		t                 float64
+		onboard, toPickup []*model.Order
+		plan              *model.RoutePlan
+		cost              float64
+		ok                bool
+	}
+	rng := rand.New(rand.NewSource(9))
+	problems := make([]problem, 64)
+	for i := range problems {
+		p := &problems[i]
+		p.t = 3000 + float64(rng.Intn(1200))
+		p.start, p.onboard, p.toPickup = randomProblem(rng, rt, 12, 4, p.t)
+		p.plan, p.cost, p.ok = Optimize(rt, p.start, p.t, p.onboard, p.toPickup)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 4*len(problems); k++ {
+				p := &problems[(k*7+w)%len(problems)]
+				plan, cost, ok := Optimize(rt, p.start, p.t, p.onboard, p.toPickup)
+				if ok != p.ok || cost != p.cost || !samePlan(plan, p.plan) {
+					t.Errorf("goroutine %d problem %d: (%v, %v, %v), serial (%v, %v, %v)", w, k, plan, cost, ok, p.plan, p.cost, p.ok)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestMarginalCostNonNegative(t *testing.T) {
