@@ -217,27 +217,29 @@ func (e *Engine) CheckpointState() *Checkpoint {
 	defer e.roundMu.Unlock()
 	c := e.checkpointLocked()
 
-	// Counters and learner state have their own locks, but they are read
-	// here under roundMu so no round can land between the world capture and
-	// the bookkeeping capture (the established lock order is roundMu →
-	// statMu/hookMu/dyn.mu, the same nesting the round itself uses).
+	// Counters are atomics and the round aggregates and learner state have
+	// their own locks, but all are read here under roundMu so no round can
+	// land between the world capture and the bookkeeping capture (the
+	// established lock order is roundMu → statMu/hookMu/dyn.mu, the same
+	// nesting the round itself uses).
 	e.statMu.Lock()
 	st := e.stats
 	e.statMu.Unlock()
+	tc := &e.totals
 	c.Counters = CheckpointCounters{
-		Ingested:      st.ingested,
-		Admitted:      st.admitted,
-		ShedOrders:    st.shedOrders,
-		PingsIngested: st.pingsIngested,
-		ShedPings:     st.shedPings,
-		Assigned:      st.assigned,
-		Reassigned:    st.reassigned,
-		Rejected:      st.rejected,
-		Handoffs:      st.handoffs,
-		VehHandoffs:   st.vehHandoffs,
-		Rounds:        st.rounds,
-		Resplits:      st.resplits,
-		ResplitMoves:  st.resplitMoves,
+		Ingested:      tc.ingested.Value(),
+		Admitted:      tc.admitted.Value(),
+		ShedOrders:    tc.shedOrders.Value(),
+		PingsIngested: tc.pingsIngested.Value(),
+		ShedPings:     tc.shedPings.Value(),
+		Assigned:      tc.assigned.Value(),
+		Reassigned:    tc.reassigned.Value(),
+		Rejected:      tc.rejected.Value(),
+		Handoffs:      tc.handoffs.Value(),
+		VehHandoffs:   tc.vehHandoffs.Value(),
+		Rounds:        tc.rounds.Value(),
+		Resplits:      tc.resplits.Value(),
+		ResplitMoves:  tc.resplitMoves.Value(),
 		RoundSecTotal: F64(st.roundSecTotal),
 		RoundSecMax:   F64(st.roundSecMax),
 		SimStart:      F64(st.simStart),
@@ -438,10 +440,7 @@ func (e *Engine) RestoreCheckpoint(c *Checkpoint) error {
 	}
 	e.roundMu.Lock()
 	defer e.roundMu.Unlock()
-	e.statMu.Lock()
-	rounds := e.stats.rounds
-	e.statMu.Unlock()
-	if rounds > 0 {
+	if e.totals.rounds.Value() > 0 {
 		return ErrEngineUsed
 	}
 
@@ -651,24 +650,30 @@ func (e *Engine) RestoreCheckpoint(c *Checkpoint) error {
 	e.walOrderSeq = c.WALOrderSeq
 	e.walPingSeq = c.WALPingSeq
 
+	// No round has run (checked above), so adding the checkpointed totals
+	// continues them — in the same counters /metrics.prom exposes.
+	cc := &c.Counters
+	tc := &e.totals
+	tc.ingested.Add(cc.Ingested)
+	tc.admitted.Add(cc.Admitted)
+	tc.shedOrders.Add(cc.ShedOrders)
+	tc.pingsIngested.Add(cc.PingsIngested)
+	tc.shedPings.Add(cc.ShedPings)
+	tc.assigned.Add(cc.Assigned)
+	tc.reassigned.Add(cc.Reassigned)
+	tc.rejected.Add(cc.Rejected)
+	tc.handoffs.Add(cc.Handoffs)
+	tc.vehHandoffs.Add(cc.VehHandoffs)
+	tc.rounds.Add(cc.Rounds)
+	tc.resplits.Add(cc.Resplits)
+	tc.resplitMoves.Add(cc.ResplitMoves)
+	tc.delivered.Add(cc.Delivered)
+	tc.stranded.Add(cc.Stranded)
 	e.statMu.Lock()
-	e.stats = counters{
-		ingested:      c.Counters.Ingested,
-		admitted:      c.Counters.Admitted,
-		shedOrders:    c.Counters.ShedOrders,
-		pingsIngested: c.Counters.PingsIngested,
-		shedPings:     c.Counters.ShedPings,
-		assigned:      c.Counters.Assigned,
-		reassigned:    c.Counters.Reassigned,
-		rejected:      c.Counters.Rejected,
-		handoffs:      c.Counters.Handoffs,
-		vehHandoffs:   c.Counters.VehHandoffs,
-		rounds:        c.Counters.Rounds,
-		resplits:      c.Counters.Resplits,
-		resplitMoves:  c.Counters.ResplitMoves,
-		roundSecTotal: float64(c.Counters.RoundSecTotal),
-		roundSecMax:   float64(c.Counters.RoundSecMax),
-		simStart:      float64(c.Counters.SimStart),
+	e.stats = roundTotals{
+		roundSecTotal: float64(cc.RoundSecTotal),
+		roundSecMax:   float64(cc.RoundSecMax),
+		simStart:      float64(cc.SimStart),
 	}
 	e.statMu.Unlock()
 	if len(e.shards) > 0 {
@@ -748,7 +753,7 @@ func (e *Engine) ReplayWAL(recs []wal.Record) (orders, pings int, err error) {
 			e.future = append(e.future, o)
 			e.walOrderSeq = rec.Seq
 			orders++
-			e.countOrderAccepted()
+			e.totals.ingested.Inc()
 		case wal.KindPing:
 			if rec.Seq <= e.walPingSeq {
 				continue
@@ -774,7 +779,7 @@ func (e *Engine) ReplayWAL(recs []wal.Record) (orders, pings int, err error) {
 			e.applyPing(p, e.clock)
 			e.walPingSeq = rec.Seq
 			pings++
-			e.countPingAccepted()
+			e.totals.pingsIngested.Inc()
 		default:
 			return orders, pings, fmt.Errorf("engine: wal record seq %d has unknown kind %q", rec.Seq, rec.Kind)
 		}

@@ -29,8 +29,6 @@ type dynamicState struct {
 	mu           sync.Mutex
 	epoch        uint64
 	lastT        float64 // sim clock of the last publish attempt
-	publishes    int64
-	patched      int64 // publishes that went through the incremental path
 	learnedEdges int
 	learnedCells int
 	// lastGraph / lastW anchor the incremental publish chain: the graph of
@@ -167,9 +165,10 @@ func (e *Engine) publishWeightsLocked(now float64, skipIdentity bool) uint64 {
 	for _, sr := range e.shards {
 		sr.router.Publish(snap)
 	}
-	d.publishes++
 	if patched {
-		d.patched++
+		e.totals.publishesPatched.Inc()
+	} else {
+		e.totals.publishesFull.Inc()
 	}
 	d.learnedEdges = d.lastW.Edges()
 	d.learnedCells = d.lastW.Cells()
@@ -177,10 +176,8 @@ func (e *Engine) publishWeightsLocked(now float64, skipIdentity bool) uint64 {
 		dur := time.Since(start).Seconds()
 		if patched {
 			eo.pubPatched.Observe(dur)
-			eo.cPublishesPatched.Inc()
 		} else {
 			eo.pubFull.Observe(dur)
-			eo.cPublishes.Inc()
 		}
 		eo.gEpoch.Set(float64(d.epoch))
 	}
@@ -274,13 +271,12 @@ func (e *Engine) ImportWeights(w *roadnet.SlotWeights) (uint64, error) {
 	for _, sr := range e.shards {
 		sr.router.Publish(snap)
 	}
-	d.publishes++
+	// Imports are always whole-table rebuilds: count them as full.
+	e.totals.publishesFull.Inc()
 	d.learnedEdges = w.Edges()
 	d.learnedCells = w.Cells()
 	if eo := e.eo; eo != nil {
-		// Imports are always whole-table rebuilds: count them as full.
 		eo.pubFull.Observe(time.Since(start).Seconds())
-		eo.cPublishes.Inc()
 		eo.gEpoch.Set(float64(d.epoch))
 	}
 	return d.epoch, nil
@@ -361,11 +357,9 @@ func (e *Engine) Roadnet() RoadnetStatus {
 		Clock:      clock,
 		Slot:       roadnet.Slot(clock),
 		ShardEpoch: e.shardEpoch.Load(),
+		Resplits:   e.totals.resplits.Value(),
 		ResplitSec: e.cfg.ResplitSec,
 	}
-	e.statMu.Lock()
-	st.Resplits = e.stats.resplits
-	e.statMu.Unlock()
 	if len(e.shards) > 0 {
 		_, r := e.shards[0].router.Acquire()
 		st.Router = routerKind(r)
@@ -382,8 +376,8 @@ func (e *Engine) Roadnet() RoadnetStatus {
 	st.Epoch = e.dyn.epoch
 	st.LearnedEdges = e.dyn.learnedEdges
 	st.LearnedCells = e.dyn.learnedCells
-	st.Publishes = e.dyn.publishes
-	st.PatchedPublishes = e.dyn.patched
+	st.PatchedPublishes = e.totals.publishesPatched.Value()
+	st.Publishes = e.totals.publishesFull.Value() + st.PatchedPublishes
 	st.LastPublish = e.dyn.lastT
 	if math.IsInf(st.LastPublish, -1) {
 		st.LastPublish = -1 // lastT's internal sentinel is not JSON-encodable

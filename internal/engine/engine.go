@@ -156,14 +156,17 @@ type Config struct {
 
 	// Obs is the metrics registry the engine records into (round latency
 	// histograms, per-phase spans, pipeline-stage timings, router query
-	// latency, lifecycle counters — see internal/obs). Nil creates a private
-	// registry; either way it is served by Engine.Obs() and foodmatchd's
-	// GET /metrics.prom. Pass a shared registry to co-expose several
-	// components on one scrape endpoint.
+	// latency — see internal/obs) and the only store of its lifecycle
+	// counters, which Snapshot and checkpoints read back: use one engine per
+	// registry. Nil creates a private registry; either way it is served by
+	// Engine.Obs() and foodmatchd's GET /metrics.prom. Share a registry with
+	// other components (the WAL) to co-expose them on one scrape endpoint.
 	Obs *obs.Registry
-	// DisableObs turns the observability plane off entirely: no registry,
-	// no lifecycle tracer, no per-round recording. The baseline arm of
-	// BenchmarkObsOverhead; production keeps it on.
+	// DisableObs turns the observability plane off: no histograms, spans,
+	// lifecycle tracer or router timing, and Engine.Obs() is nil. The
+	// lifecycle counters behind Snapshot still count, in a private registry
+	// (never in Obs). The baseline arm of BenchmarkObsOverhead; production
+	// keeps it on.
 	DisableObs bool
 	// TraceRing bounds the order-lifecycle NDJSON event ring served by
 	// Engine.TraceTail / foodmatchd's GET /trace/orders; 0 (the default)
@@ -303,7 +306,7 @@ type Engine struct {
 	// maximise overlap with this one, so re-splits migrate only the nodes
 	// whose zone genuinely changed.
 	canonSh *sharder
-	mover   *sim.Mover // hook-less: plan swaps, relocations, RoundWorld
+	mover   *sim.Mover // hook-less: plan swaps and relocations
 	shards  []*shardState
 	// pol is the prototype instance answering Reshuffles/SingleOrderMode
 	// (identical across shards by construction).
@@ -369,10 +372,12 @@ type Engine struct {
 	// (Metrics.ScheduledDepth).
 	futureLen atomic.Int64
 
-	// statMu guards the engine-global counters (ingestion, admission, round
-	// aggregates); the movement-plane counters live per shard.
+	// totals are the lifecycle counters (atomic, lock-free); statMu guards
+	// the round aggregates no counter carries. The movement-plane counters
+	// live per shard.
+	totals counters
 	statMu sync.Mutex
-	stats  counters
+	stats  roundTotals
 
 	// eo is the observability plane (nil when Config.DisableObs): instrument
 	// pointers resolved once at New, recorded into with atomics only.
@@ -437,12 +442,12 @@ func New(g *roadnet.Graph, fleet []*model.Vehicle, cfg Config) (*Engine, error) 
 		cfg.MinSamples = 3
 	}
 
+	reg := cfg.Obs
+	if reg == nil || cfg.DisableObs {
+		reg = obs.NewRegistry()
+	}
 	var eo *engineObs
 	if !cfg.DisableObs {
-		reg := cfg.Obs
-		if reg == nil {
-			reg = obs.NewRegistry()
-		}
 		eo = newEngineObs(reg, cfg.Shards, cfg.TraceRing)
 		// Chain the lifecycle tracer in front of the caller's sink (shards
 		// emit concurrently; the tracer stripes its locks) and decorate every
@@ -470,6 +475,7 @@ func New(g *roadnet.Graph, fleet []*model.Vehicle, cfg Config) (*Engine, error) 
 		slot:         -1,
 		demand:       make([]int64, g.NumNodes()),
 		lastResplitT: math.Inf(-1),
+		totals:       newCounters(reg),
 		eo:           eo,
 	}
 	if cfg.Learner != nil {
@@ -479,13 +485,6 @@ func New(g *roadnet.Graph, fleet []*model.Vehicle, cfg Config) (*Engine, error) 
 			minSamples: cfg.MinSamples,
 			lastT:      math.Inf(-1),
 		}
-	}
-	// Movement-plane counter mirrors for the mover hooks below: nil (inert)
-	// when the observability plane is off — obs instruments are
-	// nil-receiver-safe, so the hooks stay unconditional.
-	var cDelivered, cStranded *obs.Counter
-	if eo != nil {
-		cDelivered, cStranded = eo.cDelivered, eo.cStranded
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		st := &shardState{
@@ -511,7 +510,7 @@ func New(g *roadnet.Graph, fleet []*model.Vehicle, cfg Config) (*Engine, error) 
 				st.hooks.delivered++
 				st.hooks.xdtSec += o.XDT()
 				st.hookMu.Unlock()
-				cDelivered.Inc()
+				e.totals.delivered.Inc()
 			},
 			Distance: func(_ *model.Vehicle, meters float64, _ int, _ float64) {
 				st.hookMu.Lock()
@@ -522,7 +521,7 @@ func New(g *roadnet.Graph, fleet []*model.Vehicle, cfg Config) (*Engine, error) 
 				st.hookMu.Lock()
 				st.hooks.stranded++
 				st.hookMu.Unlock()
-				cStranded.Inc()
+				e.totals.stranded.Inc()
 			},
 		}
 		if cfg.Learner != nil {
@@ -597,10 +596,10 @@ func (e *Engine) SubmitOrder(o *model.Order) error {
 	}
 	select {
 	case e.orderCh <- queuedOrder{o: o}:
-		e.countOrderAccepted()
+		e.totals.ingested.Inc()
 		return nil
 	default:
-		e.countOrderShed()
+		e.totals.shedOrders.Inc()
 		return ErrQueueFull
 	}
 }
@@ -630,7 +629,7 @@ func (e *Engine) submitOrderWAL(o *model.Order) error {
 	e.walMu.Lock()
 	if len(e.orderCh) == cap(e.orderCh) {
 		e.walMu.Unlock()
-		e.countOrderShed()
+		e.totals.shedOrders.Inc()
 		return ErrQueueFull
 	}
 	seq, err := e.cfg.WAL.AppendOrder(wal.OrderRecord{
@@ -647,26 +646,8 @@ func (e *Engine) submitOrderWAL(o *model.Order) error {
 	}
 	e.orderCh <- queuedOrder{o: o, seq: seq}
 	e.walMu.Unlock()
-	e.countOrderAccepted()
+	e.totals.ingested.Inc()
 	return nil
-}
-
-func (e *Engine) countOrderAccepted() {
-	e.statMu.Lock()
-	e.stats.ingested++
-	e.statMu.Unlock()
-	if e.eo != nil {
-		e.eo.cIngested.Inc()
-	}
-}
-
-func (e *Engine) countOrderShed() {
-	e.statMu.Lock()
-	e.stats.shedOrders++
-	e.statMu.Unlock()
-	if e.eo != nil {
-		e.eo.cShedOrders.Inc()
-	}
 }
 
 // PingVehicle enqueues a location update for a vehicle. The engine owns
@@ -694,10 +675,10 @@ func (e *Engine) ping(p vehiclePing) error {
 	}
 	select {
 	case e.pingCh <- p:
-		e.countPingAccepted()
+		e.totals.pingsIngested.Inc()
 		return nil
 	default:
-		e.countPingShed()
+		e.totals.shedPings.Inc()
 		return ErrQueueFull
 	}
 }
@@ -717,7 +698,7 @@ func (e *Engine) pingWAL(p vehiclePing) error {
 	e.walMu.Lock()
 	if len(e.pingCh) == cap(e.pingCh) {
 		e.walMu.Unlock()
-		e.countPingShed()
+		e.totals.shedPings.Inc()
 		return ErrQueueFull
 	}
 	seq, err := e.cfg.WAL.AppendPing(rec)
@@ -728,26 +709,8 @@ func (e *Engine) pingWAL(p vehiclePing) error {
 	p.seq = seq
 	e.pingCh <- p
 	e.walMu.Unlock()
-	e.countPingAccepted()
+	e.totals.pingsIngested.Inc()
 	return nil
-}
-
-func (e *Engine) countPingAccepted() {
-	e.statMu.Lock()
-	e.stats.pingsIngested++
-	e.statMu.Unlock()
-	if e.eo != nil {
-		e.eo.cPingsIngested.Inc()
-	}
-}
-
-func (e *Engine) countPingShed() {
-	e.statMu.Lock()
-	e.stats.shedPings++
-	e.statMu.Unlock()
-	if e.eo != nil {
-		e.eo.cPingsShed.Inc()
-	}
 }
 
 // VehicleIDs lists the fleet (stable after New).

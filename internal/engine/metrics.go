@@ -11,24 +11,64 @@ import (
 // The paper's Section V ablations fall out of these numbers directly.
 type PipelineStats = pipeline.Stats
 
-// counters is the engine's internal mutable statistics, guarded by statMu.
-// Movement-plane counters (deliveries, wait, distance) live per shard (see
-// shardState.hooks) so the parallel advance phase never contends here.
+// counters is the engine's lifecycle totals: one registry counter per
+// total and no other copy. Snapshot, Roadnet, Ready and the checkpoint read
+// and write these same instruments, and GET /metrics.prom exposes them, so
+// the JSON and Prometheus views cannot disagree (restore included). Every
+// total only grows, which is what lets Snapshot read them without a lock.
 type counters struct {
-	ingested      int64 // accepted into the order queue
-	admitted      int64 // moved from queue to pool
-	shedOrders    int64 // rejected with ErrQueueFull
-	pingsIngested int64 // accepted into the ping queue
-	shedPings     int64
-	assigned      int64 // assignment decisions applied (order count)
-	reassigned    int64 // reshuffle moves across vehicles
-	rejected      int64 // unallocated past RejectAfter
-	handoffs      int64 // orders served by a neighbouring zone
-	vehHandoffs   int64 // vehicles re-homed across a zone boundary
-	resplits      int64 // demand-driven shard re-splits executed
-	resplitMoves  int64 // vehicles migrated across re-split boundaries
+	ingested, admitted, shedOrders  *obs.Counter // accepted; moved queue → pool; ErrQueueFull
+	pingsIngested, shedPings        *obs.Counter
+	assigned, reassigned, rejected  *obs.Counter // rejected: unallocated past RejectAfter
+	handoffs, vehHandoffs           *obs.Counter // orders / vehicles crossing a zone boundary
+	rounds                          *obs.Counter
+	resplits, resplitMoves          *obs.Counter // re-splits; vehicles they migrated
+	publishesFull, publishesPatched *obs.Counter // weight epochs; imports count as full
+	// delivered and stranded are the one mirrored pair: the parallel
+	// movement workers count them per shard (shardState.hooks), which the
+	// per-zone rows and the JSON totals read, and
+	// foodmatch_orders_total{event="delivered"|"stranded"} mirror their sum.
+	delivered, stranded *obs.Counter
+}
 
-	rounds        int64
+func newCounters(reg *obs.Registry) counters {
+	orders := func(event string) *obs.Counter {
+		return reg.Counter("foodmatch_orders_total",
+			"Order lifecycle totals by event.", obs.Labels{"event": event})
+	}
+	pings := func(event string) *obs.Counter {
+		return reg.Counter("foodmatch_pings_total",
+			"Vehicle ping totals by event.", obs.Labels{"event": event})
+	}
+	return counters{
+		ingested:      orders("ingested"),
+		admitted:      orders("admitted"),
+		shedOrders:    orders("shed"),
+		pingsIngested: pings("ingested"),
+		shedPings:     pings("shed"),
+		assigned:      orders("assigned"),
+		reassigned:    orders("reassigned"),
+		rejected:      orders("rejected"),
+		handoffs:      orders("handoff"),
+		vehHandoffs: reg.Counter("foodmatch_vehicle_handoffs_total",
+			"Vehicles re-homed across a zone boundary.", nil),
+		rounds: reg.Counter("foodmatch_rounds_total",
+			"Completed assignment rounds.", nil),
+		resplits: reg.Counter("foodmatch_resplits_total",
+			"Demand-driven shard re-splits executed at the handoff barrier.", nil),
+		resplitMoves: reg.Counter("foodmatch_resplit_moves_total",
+			"Vehicles migrated across zone boundaries by shard re-splits.", nil),
+		publishesFull: reg.Counter("foodmatch_weight_publishes_total",
+			"Published weight epochs by publish mode.", obs.Labels{"mode": "full"}),
+		publishesPatched: reg.Counter("foodmatch_weight_publishes_total", "",
+			obs.Labels{"mode": "patched"}),
+		delivered: orders("delivered"),
+		stranded:  orders("stranded"),
+	}
+}
+
+// roundTotals is what no counter carries, guarded by statMu.
+type roundTotals struct {
 	roundSecTotal float64
 	roundSecMax   float64
 	simStart      float64 // clock before the first round (for throughput)
@@ -192,32 +232,17 @@ type Metrics struct {
 }
 
 // Snapshot captures current engine metrics. It never takes the round lock:
-// counters come from the stats mutexes, populations from lock-free
+// totals come from the registry counters, populations from lock-free
 // per-shard mirrors, the clock from its atomic mirror — so /metrics stays
-// responsive even while a long round is in flight.
+// responsive even while a long round is in flight. Counters only grow and
+// each is read before the totals that bound it from above (per-shard
+// delivered before assigned, rejected before admitted, admitted before
+// ingested), so those invariants hold in every snapshot without a lock.
 func (e *Engine) Snapshot() Metrics {
-	e.statMu.Lock()
-	c := e.stats
-	e.statMu.Unlock()
 	m := Metrics{
 		Clock:           e.Clock(),
 		Shards:          e.cfg.Shards,
-		OrdersIngested:  c.ingested,
-		OrdersAdmitted:  c.admitted,
-		OrdersShed:      c.shedOrders,
-		PingsIngested:   c.pingsIngested,
-		PingsShed:       c.shedPings,
-		Assigned:        c.assigned,
-		Reassigned:      c.reassigned,
-		Rejected:        c.rejected,
-		Handoffs:        c.handoffs,
-		VehicleHandoffs: c.vehHandoffs,
 		ShardEpoch:      e.shardEpoch.Load(),
-		Resplits:        c.resplits,
-		ResplitMoves:    c.resplitMoves,
-		Rounds:          c.rounds,
-		RoundSecMax:     c.roundSecMax,
-		LastRound:       c.lastRound,
 		OrderQueueDepth: len(e.orderCh),
 		PingQueueDepth:  len(e.pingCh),
 		ScheduledDepth:  int(e.futureLen.Load()),
@@ -251,19 +276,39 @@ func (e *Engine) Snapshot() Metrics {
 		m.DistKm += sm.DistKm
 		m.PoolDepth += sm.PoolDepth
 	}
-	if c.rounds > 0 {
-		m.RoundSecMean = c.roundSecTotal / float64(c.rounds)
+	c := &e.totals
+	m.Assigned = c.assigned.Value()
+	m.Reassigned = c.reassigned.Value()
+	m.Rejected = c.rejected.Value()
+	m.Handoffs = c.handoffs.Value()
+	m.VehicleHandoffs = c.vehHandoffs.Value()
+	m.Resplits = c.resplits.Value()
+	m.ResplitMoves = c.resplitMoves.Value()
+	m.OrdersAdmitted = c.admitted.Value()
+	m.OrdersIngested = c.ingested.Value()
+	m.OrdersShed = c.shedOrders.Value()
+	m.PingsIngested = c.pingsIngested.Value()
+	m.PingsShed = c.shedPings.Value()
+
+	e.statMu.Lock()
+	m.Rounds = c.rounds.Value() // written under statMu with the aggregates
+	rt := e.stats
+	e.statMu.Unlock()
+	m.RoundSecMax = rt.roundSecMax
+	m.LastRound = rt.lastRound
+	if m.Rounds > 0 {
+		m.RoundSecMean = rt.roundSecTotal / float64(m.Rounds)
 	}
 	if e.dyn != nil {
 		e.dyn.mu.Lock()
 		m.WeightEpoch = e.dyn.epoch
-		m.WeightPublishes = e.dyn.publishes
+		m.WeightPublishes = c.publishesFull.Value() + c.publishesPatched.Value()
 		e.dyn.mu.Unlock()
 	}
-	if span := c.lastRound.T - c.simStart; span > 0 && c.admitted > 0 {
+	if span := rt.lastRound.T - rt.simStart; span > 0 && m.OrdersAdmitted > 0 {
 		// Ingest throughput against simulated time; wall-clock throughput
 		// depends on the Start time-scale.
-		m.OrdersPerSimSec = float64(c.admitted) / span
+		m.OrdersPerSimSec = float64(m.OrdersAdmitted) / span
 	}
 	return m
 }

@@ -8,12 +8,14 @@ import (
 	"repro/internal/roadnet"
 )
 
-// engineObs bundles the engine's observability instruments: direct pointers
-// into an obs.Registry, resolved once at construction so hot-path recording
-// is a handful of atomic adds with no registry lookups and no new locks on
-// the round path. A nil *engineObs (Config.DisableObs) disables recording
-// entirely — every obs instrument method is nil-receiver-safe, but the
-// engine still guards with `if eo != nil` to skip the time.Now() calls too.
+// engineObs bundles the engine's observability instruments beyond the
+// lifecycle counters (histograms, gauges, the order tracer, router timing):
+// direct pointers into an obs.Registry, resolved once at construction so
+// hot-path recording is a handful of atomic adds with no registry lookups
+// and no new locks on the round path. A nil *engineObs (Config.DisableObs)
+// disables that recording — every obs instrument method is
+// nil-receiver-safe, but the engine still guards with `if eo != nil` to skip
+// the time.Now() calls too. The counters are kept either way.
 type engineObs struct {
 	reg    *obs.Registry
 	tracer *obs.OrderTracer
@@ -32,15 +34,6 @@ type engineObs struct {
 
 	// Router query plane (sampled; see timedRouter).
 	routerHist func(kind string) *obs.Histogram
-
-	// Counter mirrors of the engine's lifecycle totals.
-	cIngested, cAdmitted, cShedOrders *obs.Counter
-	cPingsIngested, cPingsShed        *obs.Counter
-	cAssigned, cReassigned, cRejected *obs.Counter
-	cDelivered, cStranded             *obs.Counter
-	cHandoffs, cVehHandoffs, cRounds  *obs.Counter
-	cPublishes, cPublishesPatched     *obs.Counter
-	cResplits, cResplitMoves          *obs.Counter
 
 	// Queue/pool gauges, sampled at the end of every round.
 	gOrderQueue, gPingQueue, gPool *obs.Gauge
@@ -93,38 +86,6 @@ func newEngineObs(reg *obs.Registry, shards, traceRing int) *engineObs {
 			"Sampled router Travel() latency by backend kind (1 in 64 queries).",
 			obs.QueryBuckets, obs.Labels{"kind": kind})
 	}
-
-	orders := func(event string) *obs.Counter {
-		return reg.Counter("foodmatch_orders_total",
-			"Order lifecycle totals by event.", obs.Labels{"event": event})
-	}
-	eo.cIngested = orders("ingested")
-	eo.cAdmitted = orders("admitted")
-	eo.cShedOrders = orders("shed")
-	eo.cAssigned = orders("assigned")
-	eo.cReassigned = orders("reassigned")
-	eo.cRejected = orders("rejected")
-	eo.cDelivered = orders("delivered")
-	eo.cStranded = orders("stranded")
-	eo.cHandoffs = orders("handoff")
-	pings := func(event string) *obs.Counter {
-		return reg.Counter("foodmatch_pings_total",
-			"Vehicle ping totals by event.", obs.Labels{"event": event})
-	}
-	eo.cPingsIngested = pings("ingested")
-	eo.cPingsShed = pings("shed")
-	eo.cVehHandoffs = reg.Counter("foodmatch_vehicle_handoffs_total",
-		"Vehicles re-homed across a zone boundary.", nil)
-	eo.cRounds = reg.Counter("foodmatch_rounds_total",
-		"Completed assignment rounds.", nil)
-	eo.cPublishes = reg.Counter("foodmatch_weight_publishes_total",
-		"Published weight epochs by publish mode.", obs.Labels{"mode": "full"})
-	eo.cPublishesPatched = reg.Counter("foodmatch_weight_publishes_total", "",
-		obs.Labels{"mode": "patched"})
-	eo.cResplits = reg.Counter("foodmatch_resplits_total",
-		"Demand-driven shard re-splits executed at the handoff barrier.", nil)
-	eo.cResplitMoves = reg.Counter("foodmatch_resplit_moves_total",
-		"Vehicles migrated across zone boundaries by shard re-splits.", nil)
 
 	eo.gOrderQueue = reg.Gauge("foodmatch_queue_depth",
 		"Ingestion queue depth sampled at the end of the last round.",
@@ -295,8 +256,5 @@ func (e *Engine) Ready() bool {
 	if !running {
 		return false
 	}
-	e.statMu.Lock()
-	rounds := e.stats.rounds
-	e.statMu.Unlock()
-	return rounds > 0
+	return e.totals.rounds.Value() > 0
 }

@@ -2,11 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/gps"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -86,18 +89,9 @@ func TestEngineObsRoundTelemetry(t *testing.T) {
 	if p := histPoint(t, byName, "foodmatch_pipeline_stage_seconds", obs.Labels{"stage": "match"}); p.Count == 0 {
 		t.Fatal("pipeline match stage recorded no samples")
 	}
-	// Counter mirrors agree with the snapshot totals.
-	for event, want := range map[string]int64{
-		"ingested":  snap.OrdersIngested,
-		"admitted":  snap.OrdersAdmitted,
-		"assigned":  snap.Assigned,
-		"delivered": snap.Delivered,
-	} {
-		got := counterValue(t, byName, "foodmatch_orders_total", obs.Labels{"event": event})
-		if got != float64(want) {
-			t.Fatalf("foodmatch_orders_total{event=%q} = %v, snapshot %d", event, got, want)
-		}
-	}
+	// The exposed lifecycle series and the snapshot totals are one set of
+	// books.
+	assertBooksAgree(t, e)
 
 	// The last round's span tree spans the full phase vocabulary in order.
 	phases := snap.LastRound.Phases
@@ -138,7 +132,9 @@ func TestEngineObsRoundTelemetry(t *testing.T) {
 	}
 }
 
-// TestEngineDisableObs pins the opt-out: no registry, no ring, rounds run.
+// TestEngineDisableObs pins the opt-out: no registry, no ring, rounds run,
+// and the lifecycle totals still count — decisions are obs-neutral, so the
+// same replay with the plane on reports the same totals.
 func TestEngineDisableObs(t *testing.T) {
 	e := obsReplay(t, func(cfg *Config) { cfg.DisableObs = true; cfg.TraceRing = 1024 })
 	if e.Obs() != nil {
@@ -153,6 +149,229 @@ func TestEngineDisableObs(t *testing.T) {
 	if e.Snapshot().LastRound.Phases != nil {
 		t.Fatal("span tree built with DisableObs")
 	}
+
+	off := e.Snapshot()
+	on := obsReplay(t, nil).Snapshot()
+	for _, c := range []struct {
+		name    string
+		off, on int64
+	}{
+		{"OrdersIngested", off.OrdersIngested, on.OrdersIngested},
+		{"OrdersAdmitted", off.OrdersAdmitted, on.OrdersAdmitted},
+		{"Assigned", off.Assigned, on.Assigned},
+		{"Reassigned", off.Reassigned, on.Reassigned},
+		{"Rejected", off.Rejected, on.Rejected},
+		{"Delivered", off.Delivered, on.Delivered},
+		{"Rounds", off.Rounds, on.Rounds},
+	} {
+		if c.off != c.on {
+			t.Errorf("%s = %d with DisableObs, %d with the plane on", c.name, c.off, c.on)
+		}
+	}
+	if off.OrdersIngested == 0 || off.Assigned == 0 || off.Delivered == 0 {
+		t.Fatalf("DisableObs replay counted nothing: %+v", off)
+	}
+}
+
+// assertBooksAgree checks every lifecycle series the engine exposes on its
+// registry against the matching Snapshot / Roadnet field: /metrics and
+// /metrics.prom read one set of totals.
+func assertBooksAgree(t *testing.T, e *Engine) {
+	t.Helper()
+	byName := map[string][]obs.MetricPoint{}
+	for _, p := range e.Obs().Gather() {
+		byName[p.Name] = append(byName[p.Name], p)
+	}
+	m := e.Snapshot()
+	rn := e.Roadnet()
+	if m.Resplits != rn.Resplits || m.WeightPublishes != rn.Publishes {
+		t.Fatalf("Snapshot resplits/publishes %d/%d, Roadnet %d/%d",
+			m.Resplits, m.WeightPublishes, rn.Resplits, rn.Publishes)
+	}
+	ev := func(event string) obs.Labels { return obs.Labels{"event": event} }
+	for _, c := range []struct {
+		name   string
+		labels obs.Labels
+		want   int64
+	}{
+		{"foodmatch_orders_total", ev("ingested"), m.OrdersIngested},
+		{"foodmatch_orders_total", ev("admitted"), m.OrdersAdmitted},
+		{"foodmatch_orders_total", ev("shed"), m.OrdersShed},
+		{"foodmatch_orders_total", ev("assigned"), m.Assigned},
+		{"foodmatch_orders_total", ev("reassigned"), m.Reassigned},
+		{"foodmatch_orders_total", ev("rejected"), m.Rejected},
+		{"foodmatch_orders_total", ev("delivered"), m.Delivered},
+		{"foodmatch_orders_total", ev("stranded"), m.Stranded},
+		{"foodmatch_orders_total", ev("handoff"), m.Handoffs},
+		{"foodmatch_pings_total", ev("ingested"), m.PingsIngested},
+		{"foodmatch_pings_total", ev("shed"), m.PingsShed},
+		{"foodmatch_rounds_total", nil, m.Rounds},
+		{"foodmatch_vehicle_handoffs_total", nil, m.VehicleHandoffs},
+		{"foodmatch_resplits_total", nil, rn.Resplits},
+		{"foodmatch_resplit_moves_total", nil, m.ResplitMoves},
+		{"foodmatch_weight_publishes_total", obs.Labels{"mode": "full"}, rn.Publishes - rn.PatchedPublishes},
+		{"foodmatch_weight_publishes_total", obs.Labels{"mode": "patched"}, rn.PatchedPublishes},
+	} {
+		if got := counterValue(t, byName, c.name, c.labels); got != float64(c.want) {
+			t.Errorf("%s %v = %v, snapshot %d", c.name, c.labels, got, c.want)
+		}
+	}
+}
+
+// TestRestoredCountersMatchExposition replays a 2-shard engine, restores
+// its checkpoint into a fresh engine and checks, on both engines and again
+// after the restored one runs a round, that the exposition carries exactly
+// the Snapshot totals — and that restore continued them.
+func TestRestoredCountersMatchExposition(t *testing.T) {
+	for _, arm := range []struct {
+		name   string
+		mutate func(*Config)
+		check  func(t *testing.T, rn RoadnetStatus)
+	}{
+		{name: "plain"},
+		{
+			name:   "resplit",
+			mutate: func(cfg *Config) { cfg.ResplitSec = 300 },
+			check: func(t *testing.T, rn RoadnetStatus) {
+				if rn.Resplits == 0 {
+					t.Fatal("no re-split executed")
+				}
+			},
+		},
+		{
+			name: "learner",
+			mutate: func(cfg *Config) {
+				cfg.Learner = gps.NewStreamLearner(testCityB.G, gps.StreamOptions{})
+				cfg.WeightRefreshSec = 300
+				cfg.MinSamples = 1
+			},
+			check: func(t *testing.T, rn RoadnetStatus) {
+				if rn.Publishes == 0 || rn.PatchedPublishes == 0 {
+					t.Fatalf("publishes %d (patched %d), want both > 0", rn.Publishes, rn.PatchedPublishes)
+				}
+			},
+		},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			orig := obsReplay(t, arm.mutate)
+			assertBooksAgree(t, orig)
+			if arm.check != nil {
+				arm.check(t, orig.Roadnet())
+			}
+			want := orig.Snapshot()
+			if want.OrdersIngested == 0 || want.Delivered == 0 {
+				t.Fatalf("replay counted nothing: %+v", want)
+			}
+			doc := orig.CheckpointState()
+
+			cfg := Config{Pipeline: testConfig(), Shards: 2}
+			if arm.mutate != nil {
+				arm.mutate(&cfg)
+			}
+			restored, err := New(testCityB.G, testCityB.Fleet(1.0, testConfig().MaxO, 1), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.RestoreCheckpoint(doc); err != nil {
+				t.Fatal(err)
+			}
+			got := restored.Snapshot()
+			if got.OrdersIngested != want.OrdersIngested || got.OrdersAdmitted != want.OrdersAdmitted ||
+				got.Assigned != want.Assigned || got.Delivered != want.Delivered ||
+				got.Rounds != want.Rounds || got.Resplits != want.Resplits {
+				t.Fatalf("restore did not continue the totals:\n got %+v\nwant %+v", got, want)
+			}
+			assertBooksAgree(t, restored)
+
+			restored.Step(float64(doc.Clock) + testConfig().Delta)
+			if n := restored.Snapshot().Rounds; n != want.Rounds+1 {
+				t.Fatalf("rounds after one restored round = %d, want %d", n, want.Rounds+1)
+			}
+			assertBooksAgree(t, restored)
+		})
+	}
+}
+
+// parentCounters is a CheckpointCounters document exactly as version 1
+// writes it: every field, in declaration order, none at its zero value.
+const parentCounters = `{"ingested":43,"admitted":41,"shed_orders":2,"pings_ingested":17,` +
+	`"shed_pings":1,"assigned":143,"reassigned":60,"rejected":3,"handoffs":5,"veh_handoffs":7,` +
+	`"rounds":15,"resplits":2,"resplit_moves":11,"round_sec_total":1.5,"round_sec_max":0.25,` +
+	`"sim_start":64500,"delivered":38,"stranded":1,"xdt_sec":1234.5,"wait_sec":99.5,"dist_m":45678.25}`
+
+// TestRestoreParentWrittenCounters restores a version-1 counters document
+// and checks Snapshot and the exposition carry exactly those totals: the
+// schema did not drift while its readers changed.
+func TestRestoreParentWrittenCounters(t *testing.T) {
+	var cc CheckpointCounters
+	dec := json.NewDecoder(strings.NewReader(parentCounters))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cc); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := json.Marshal(cc); err != nil || string(b) != parentCounters {
+		t.Fatalf("CheckpointCounters schema drifted:\n got %s\nwant %s (%v)", b, parentCounters, err)
+	}
+
+	mk := func() *Engine {
+		e, err := New(testCityB.G, testCityB.Fleet(0.2, testConfig().MaxO, 1), Config{Pipeline: testConfig(), Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	doc, err := json.Marshal(mk().CheckpointState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(doc, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["counters"] = json.RawMessage(parentCounters)
+	if doc, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	c, err := ReadCheckpoint(bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := mk()
+	if err := e.RestoreCheckpoint(c); err != nil {
+		t.Fatal(err)
+	}
+
+	m := e.Snapshot()
+	for _, f := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"OrdersIngested", m.OrdersIngested, 43},
+		{"OrdersAdmitted", m.OrdersAdmitted, 41},
+		{"OrdersShed", m.OrdersShed, 2},
+		{"PingsIngested", m.PingsIngested, 17},
+		{"PingsShed", m.PingsShed, 1},
+		{"Assigned", m.Assigned, 143},
+		{"Reassigned", m.Reassigned, 60},
+		{"Rejected", m.Rejected, 3},
+		{"Handoffs", m.Handoffs, 5},
+		{"VehicleHandoffs", m.VehicleHandoffs, 7},
+		{"Rounds", m.Rounds, 15},
+		{"Resplits", m.Resplits, 2},
+		{"ResplitMoves", m.ResplitMoves, 11},
+		{"Delivered", m.Delivered, 38},
+		{"Stranded", m.Stranded, 1},
+	} {
+		if f.got != f.want {
+			t.Errorf("%s = %d after restore, want %d", f.name, f.got, f.want)
+		}
+	}
+	if m.RoundSecMean != 0.1 || m.RoundSecMax != 0.25 || m.XDTSec != 1234.5 ||
+		m.WaitSec != 99.5 || m.DistKm != 45.67825 {
+		t.Errorf("float totals after restore: mean %v max %v xdt %v wait %v km %v",
+			m.RoundSecMean, m.RoundSecMax, m.XDTSec, m.WaitSec, m.DistKm)
+	}
+	assertBooksAgree(t, e)
 }
 
 // TestEngineSnapshotConsistentUnderConcurrentStep hammers Snapshot, the
@@ -184,12 +403,17 @@ func TestEngineSnapshotConsistentUnderConcurrentStep(t *testing.T) {
 				m := e.Snapshot()
 				if m.OrdersIngested < prev.OrdersIngested || m.Rounds < prev.Rounds ||
 					m.Assigned < prev.Assigned || m.Delivered < prev.Delivered ||
-					m.PingsIngested < prev.PingsIngested {
+					m.PingsIngested < prev.PingsIngested ||
+					m.OrdersShed < prev.OrdersShed || m.PingsShed < prev.PingsShed {
 					t.Errorf("counter went backwards: %+v then %+v", prev, m)
 					return
 				}
 				if m.OrdersAdmitted > m.OrdersIngested {
 					t.Errorf("admitted %d > ingested %d", m.OrdersAdmitted, m.OrdersIngested)
+					return
+				}
+				if m.Rejected > m.OrdersAdmitted {
+					t.Errorf("rejected %d > admitted %d", m.Rejected, m.OrdersAdmitted)
 					return
 				}
 				if m.Delivered > m.Assigned {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/roadnet"
+	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -77,30 +78,26 @@ func (e *Engine) StepContext(ctx context.Context, now float64) RoundStats {
 
 	if eo := e.eo; eo != nil {
 		eo.roundLatency.Observe(stats.LatencySec)
-		eo.cRounds.Inc()
-		eo.cAssigned.Add(int64(stats.AssignedOrders))
-		eo.cRejected.Add(int64(stats.Rejected))
-		eo.cHandoffs.Add(int64(stats.Handoffs))
-		eo.cVehHandoffs.Add(int64(stats.VehicleHandoffs))
 		eo.gOrderQueue.Set(float64(stats.OrderQueueDepth))
 		eo.gPingQueue.Set(float64(stats.PingQueueDepth))
 		eo.gPool.Set(float64(stats.PoolCarried))
 		eo.gClock.Set(now)
 	}
 
+	c := &e.totals
+	c.assigned.Add(int64(stats.AssignedOrders))
+	c.rejected.Add(int64(stats.Rejected))
+	c.handoffs.Add(int64(stats.Handoffs))
+	c.vehHandoffs.Add(int64(stats.VehicleHandoffs))
 	e.statMu.Lock()
-	if e.stats.rounds == 0 {
+	if c.rounds.Value() == 0 {
 		e.stats.simStart = now - e.cfg.Pipeline.Delta
 	}
-	e.stats.rounds++
+	c.rounds.Inc()
 	e.stats.roundSecTotal += stats.LatencySec
 	if stats.LatencySec > e.stats.roundSecMax {
 		e.stats.roundSecMax = stats.LatencySec
 	}
-	e.stats.assigned += int64(stats.AssignedOrders)
-	e.stats.rejected += int64(stats.Rejected)
-	e.stats.handoffs += int64(stats.Handoffs)
-	e.stats.vehHandoffs += int64(stats.VehicleHandoffs)
 	e.stats.lastRound = stats
 	e.statMu.Unlock()
 
@@ -186,12 +183,7 @@ func (e *Engine) admitFuture(now float64, arrived bool) {
 		// Admission is the demand signal the elastic sharder re-splits on.
 		e.demand[o.Restaurant]++
 		e.demandTotal++
-		e.statMu.Lock()
-		e.stats.admitted++
-		e.statMu.Unlock()
-		if e.eo != nil {
-			e.eo.cAdmitted.Inc()
-		}
+		e.totals.admitted.Inc()
 		e.cfg.Trace.Emit(trace.Event{Kind: trace.OrderPlaced, T: o.PlacedAt, Order: o.ID})
 		// Admission is stamped with the round clock (OrderPlaced carries the
 		// placement time): the gap between the two is the submit-queue plus
@@ -439,17 +431,12 @@ func (e *Engine) runRound(ctx context.Context, t0, now, drainSec float64) RoundS
 	wg.Wait()
 	matchSec := time.Since(phT).Seconds()
 
-	// ---- Serial application (sim/window.go). Zones hold disjoint
-	// vehicles, so decisions never conflict; sequential application keeps
-	// the world state single-writer.
+	// ---- Serial application: each assignment's orders attach to its
+	// vehicle, whose plan is replaced. Zones hold disjoint vehicles, so
+	// decisions never conflict; sequential application keeps the world
+	// state single-writer.
 	e.phase("apply")
 	phT = time.Now()
-	w := &sim.RoundWorld{
-		ByID:  e.byID,
-		Mover: e.mover,
-		Cfg:   cfg,
-		Trace: e.cfg.Trace,
-	}
 	assignedVehicles := make(map[model.VehicleID]bool)
 	assignedOrders := make(map[model.OrderID]bool)
 	for s := range work {
@@ -472,19 +459,30 @@ func (e *Engine) runRound(ctx context.Context, t0, now, drainSec float64) RoundS
 		if sw.sec > stats.AssignSecMax {
 			stats.AssignSecMax = sw.sec
 		}
-		for _, ap := range w.ApplyAssignments(now, sw.res, prevVehicle, assignedOrders, assignedVehicles) {
-			if ap.ReassignedOrders > 0 {
-				e.statMu.Lock()
-				e.stats.reassigned += int64(ap.ReassignedOrders)
-				e.statMu.Unlock()
-				if eo != nil {
-					eo.cReassigned.Add(int64(ap.ReassignedOrders))
+		for _, a := range sw.res {
+			v := a.Vehicle
+			assignedVehicles[v.ID] = true
+			ids := make([]model.OrderID, 0, len(a.Orders))
+			reassigned := 0
+			for _, o := range a.Orders {
+				o.State = model.OrderAssigned
+				if prev, had := prevVehicle[o.ID]; had && prev != v.ID {
+					reassigned++
 				}
+				o.AssignedTo = v.ID
+				o.AssignedAt = now
+				assignedOrders[o.ID] = true
+				v.Pending = append(v.Pending, o)
+				ids = append(ids, o.ID)
+				e.cfg.Trace.Emit(trace.Event{Kind: trace.OrderAssigned, T: now, Order: o.ID, Vehicle: v.ID})
 			}
-			stats.AssignedOrders += len(ap.Orders)
+			if mo := e.byID[v.ID]; mo != nil {
+				e.mover.SetPlan(mo, a.Plan)
+			}
+			e.totals.reassigned.Add(int64(reassigned))
+			stats.AssignedOrders += len(ids)
 			e.subs.publish(StreamEvent{Decision: &Decision{
-				T: now, Vehicle: ap.Vehicle.ID, Orders: ap.Orders, Shard: s,
-				Reassigned: ap.ReassignedOrders > 0,
+				T: now, Vehicle: v.ID, Orders: ids, Shard: s, Reassigned: reassigned > 0,
 			}})
 		}
 	}
@@ -497,7 +495,7 @@ func (e *Engine) runRound(ctx context.Context, t0, now, drainSec float64) RoundS
 	// of the zone its node is in, one goroutine per zone.
 	e.phase("replan")
 	phT = time.Now()
-	restored := w.DecideRestores(now, orders, prevVehicle, assignedOrders)
+	restored := e.restoreUnplaced(now, orders, prevVehicle, assignedOrders)
 	e.replanParallel(now, stripped, assignedVehicles, restored)
 	replanSec := time.Since(phT).Seconds()
 
@@ -510,7 +508,7 @@ func (e *Engine) runRound(ctx context.Context, t0, now, drainSec float64) RoundS
 	}
 	carried := 0
 	for _, o := range orders {
-		if sim.PoolCarry(o, assignedOrders) {
+		if !assignedOrders[o.ID] && o.State == model.OrderPlaced {
 			s := e.shards[e.sh.shardOf(o.Restaurant)]
 			s.pool = append(s.pool, o)
 			carried++
@@ -655,11 +653,19 @@ func (e *Engine) shardPhase1(s *shardState, advWorkers int, t0, t1 float64, resh
 		out.incumbent = make(map[model.OrderID]model.VehicleID)
 		out.strippedVeh = make(map[model.VehicleID]bool)
 		for _, rt := range s.motions {
-			var released bool
-			out.orders, released = sim.ReleasePending(rt.mo.V, t1, e.cfg.Trace, out.orders, out.incumbent)
-			if released {
-				out.strippedVeh[rt.mo.V.ID] = true
+			v := rt.mo.V
+			if len(v.Pending) == 0 {
+				continue
 			}
+			for _, o := range v.Pending {
+				out.incumbent[o.ID] = o.AssignedTo
+				e.cfg.Trace.Emit(trace.Event{Kind: trace.OrderReleased, T: t1, Order: o.ID, Vehicle: o.AssignedTo})
+				o.State = model.OrderPlaced
+				o.AssignedTo = -1
+				out.orders = append(out.orders, o)
+			}
+			v.Pending = v.Pending[:0]
+			out.strippedVeh[v.ID] = true
 		}
 	}
 
@@ -775,11 +781,49 @@ func (e *Engine) advanceShard(s *shardState, workers int, t0, t1 float64) {
 	wg.Wait()
 }
 
+// restoreUnplaced gives a reshuffled order the matching did not place
+// anywhere back to its previous vehicle — reshuffling looks for *better*
+// vehicles, it never strands an order that already had one. The incumbent
+// may have received a new batch this round; restore only while capacity
+// allows. Returns the restored-vehicle set for replanParallel.
+func (e *Engine) restoreUnplaced(now float64, orders []*model.Order,
+	incumbent map[model.OrderID]model.VehicleID, assignedOrders map[model.OrderID]bool) map[model.VehicleID]bool {
+	cfg := e.cfg.Pipeline
+	restored := make(map[model.VehicleID]bool)
+	for _, o := range orders {
+		if assignedOrders[o.ID] || o.State != model.OrderPlaced {
+			continue
+		}
+		prev, had := incumbent[o.ID]
+		if !had {
+			continue
+		}
+		mo := e.byID[prev]
+		if mo == nil || !mo.V.Active(now) {
+			continue
+		}
+		v := mo.V
+		if v.OrderCount()+1 > cfg.MaxO || v.ItemCount()+o.Items > cfg.MaxI {
+			continue
+		}
+		o.State = model.OrderAssigned
+		o.AssignedTo = v.ID
+		v.Pending = append(v.Pending, o)
+		assignedOrders[o.ID] = true
+		restored[v.ID] = true
+		e.cfg.Trace.Emit(trace.Event{Kind: trace.OrderAssigned, T: now, Order: o.ID, Vehicle: v.ID})
+	}
+	return restored
+}
+
 // replanParallel rebuilds plans for restored and stripped-but-unmatched
 // vehicles — the Dijkstra-heavy tail of the round — fanned out per zone so
 // each zone's distance cache is driven by exactly one goroutine. Vehicles
 // are grouped by the zone their node is in (the cache that can answer
-// their queries).
+// their queries). A restored vehicle gets a full quickest plan over its
+// onboard dropoffs and pending pickups; a stripped-but-unmatched one a
+// dropoff-only plan, or an empty one when nothing is onboard. A failed
+// optimisation keeps the old plan.
 func (e *Engine) replanParallel(now float64, stripped, assigned, restored map[model.VehicleID]bool) {
 	if len(stripped) == 0 && len(restored) == 0 {
 		return
@@ -795,7 +839,17 @@ func (e *Engine) replanParallel(now float64, stripped, assigned, restored map[mo
 	}
 	e.forEachShard(e.cfg.Workers > 1, func(s *shardState) {
 		for _, mo := range buckets[s.id] {
-			sim.ReplanAfterRound(s.router, e.mover, mo, now, restored[mo.V.ID])
+			v := mo.V
+			var pickups []*model.Order
+			if restored[v.ID] {
+				pickups = v.Pending
+			} else if len(v.Onboard) == 0 {
+				e.mover.SetPlan(mo, &model.RoutePlan{})
+				continue
+			}
+			if plan, _, ok := routing.Optimize(s.router, v.Node, now, v.Onboard, pickups); ok {
+				e.mover.SetPlan(mo, plan)
+			}
 		}
 	})
 }
@@ -895,13 +949,9 @@ func (e *Engine) maybeResplit(now float64) (bool, int, float64) {
 	e.demandTotal = total
 	moves := e.rehomeAll()
 	e.shardEpoch.Add(1)
-	e.statMu.Lock()
-	e.stats.resplits++
-	e.stats.resplitMoves += int64(moves)
-	e.statMu.Unlock()
+	e.totals.resplits.Inc()
+	e.totals.resplitMoves.Add(int64(moves))
 	if e.eo != nil {
-		e.eo.cResplits.Inc()
-		e.eo.cResplitMoves.Add(int64(moves))
 		e.eo.gShardEpoch.Set(float64(e.shardEpoch.Load()))
 	}
 	return true, moves, time.Since(t0).Seconds()

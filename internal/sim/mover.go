@@ -2,9 +2,8 @@
 // Mover drives each vehicle continuously along its route plan — edge by
 // edge, each edge traversed at the β(e,t) of its entry time — handling
 // restaurant waits (food not ready), pickups and dropoffs; Metrics
-// aggregates what Section V reports; window.go holds the apply helpers of
-// the assignment round. The round itself — online and offline — lives in
-// internal/engine.
+// aggregates what Section V reports. The assignment round itself — online
+// and offline — lives in internal/engine.
 package sim
 
 import (
