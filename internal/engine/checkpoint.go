@@ -127,9 +127,11 @@ type CheckpointVehicle struct {
 
 // CheckpointCounters carries the engine-global statistics so a restored
 // engine's /metrics continues where the killed one stopped. The movement
-// plane (delivered, stranded, XDT, wait, distance) is aggregated across
-// shards here and restored into shard 0 — totals are exact, the per-shard
-// split is not (shard counts may even differ across the restart).
+// plane (delivered, stranded, XDT, wait, distance) is summed over the shard
+// ledgers here and restored into shard 0's ledger — totals are exact, the
+// per-shard split is not (shard counts may even differ across the restart).
+// Restore carries totals only: the ledger's per-slot and per-load series
+// restart at zero.
 type CheckpointCounters struct {
 	Ingested      int64 `json:"ingested"`
 	Admitted      int64 `json:"admitted"`
@@ -246,13 +248,12 @@ func (e *Engine) CheckpointState() *Checkpoint {
 	}
 	for _, s := range e.shards {
 		s.hookMu.Lock()
-		h := s.hooks
+		c.Counters.Delivered += int64(s.ledger.Delivered)
+		c.Counters.Stranded += int64(s.ledger.Stranded)
+		c.Counters.XDTSec += F64(s.ledger.XDTSec)
+		c.Counters.WaitSec += F64(s.ledger.WaitSec)
+		c.Counters.DistM += F64(s.ledger.DistM)
 		s.hookMu.Unlock()
-		c.Counters.Delivered += h.delivered
-		c.Counters.Stranded += h.stranded
-		c.Counters.XDTSec += F64(h.xdtSec)
-		c.Counters.WaitSec += F64(h.waitSec)
-		c.Counters.DistM += F64(h.distM)
 	}
 	if e.dyn != nil {
 		e.dyn.mu.Lock()
@@ -679,13 +680,11 @@ func (e *Engine) RestoreCheckpoint(c *Checkpoint) error {
 	if len(e.shards) > 0 {
 		s0 := e.shards[0]
 		s0.hookMu.Lock()
-		s0.hooks = hookCounters{
-			delivered: c.Counters.Delivered,
-			stranded:  c.Counters.Stranded,
-			xdtSec:    float64(c.Counters.XDTSec),
-			waitSec:   float64(c.Counters.WaitSec),
-			distM:     float64(c.Counters.DistM),
-		}
+		s0.ledger.Delivered = int(cc.Delivered)
+		s0.ledger.Stranded = int(cc.Stranded)
+		s0.ledger.XDTSec = float64(cc.XDTSec)
+		s0.ledger.WaitSec = float64(cc.WaitSec)
+		s0.ledger.DistM = float64(cc.DistM)
 		s0.hookMu.Unlock()
 	}
 

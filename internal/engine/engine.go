@@ -45,8 +45,8 @@ import (
 // per-slot labels build in the background while a bounded-SSSP cache
 // answers in the meantime. spBound caps that fallback's expansions in
 // seconds; 0 defaults to 2×DefaultConfig().MaxFirstMile — when the engine
-// runs a non-default Pipeline.MaxFirstMile, pass its SPBound explicitly so
-// the fallback's reachability horizon matches the rest of the engine. The
+// runs a non-default Pipeline.MaxFirstMile, pass 2×that value so the
+// fallback's reachability horizon matches the rest of the engine. The
 // first query of a slot also pre-builds the next slot — wrapping 23 → 0 at
 // midnight — so label builds stay ahead of the replay clock.
 //
@@ -103,15 +103,12 @@ type Config struct {
 	// handed to that zone when it is under less pressure (see round.go).
 	// 0 defaults to 800 m.
 	BoundaryM float64
-	// SPBound caps single-source expansions of the per-shard distance
-	// caches in seconds; 0 defaults to 2×MaxFirstMile.
-	SPBound float64
 	// NewRouter constructs the shortest-path backend one zone shard's
 	// pipeline consumes (called once per shard, so instances need not be
 	// safe for concurrent use). Nil defaults to a bounded-SSSP distance
-	// cache capped at SPBound — swap in hub labels, CCH or plain Dijkstra
-	// per workload. SDT metric queries always use an internal bounded cache
-	// regardless.
+	// cache capped at 2×Pipeline.MaxFirstMile — swap in hub labels, CCH or
+	// plain Dijkstra per workload. SDT metric queries always use an internal
+	// bounded cache (same cap) regardless.
 	NewRouter func(g *roadnet.Graph) roadnet.Router
 	// Workers bounds the goroutines advancing vehicle movement between
 	// rounds; 0 defaults to GOMAXPROCS. The budget is split across zone
@@ -227,17 +224,6 @@ type motionRt struct {
 	pos   int32
 }
 
-// hookCounters are the movement-plane statistics one shard accumulates from
-// its own mover hooks — shard-resident so the parallel advance phase never
-// contends on a global mutex.
-type hookCounters struct {
-	delivered int64
-	stranded  int64
-	xdtSec    float64
-	waitSec   float64
-	distM     float64
-}
-
 // shardTiming tracks one shard's per-round wall-clock costs (written at the
 // round barrier, read by Snapshot).
 type shardTiming struct {
@@ -263,7 +249,7 @@ type shardState struct {
 
 	motions []*motionRt    // vehicles homed in this zone
 	pool    []*model.Order // placed, unassigned orders homed in this zone
-	mover   *sim.Mover     // per-shard mover: hooks write the counters below
+	mover   *sim.Mover     // per-shard mover: hooks book into ledger
 
 	// newOrders holds this round's freshly admitted orders awaiting their
 	// SDT lower bound, computed in the shard's parallel phase on sdt (a
@@ -283,11 +269,14 @@ type shardState struct {
 	poolLen atomic.Int64
 	vehLen  atomic.Int64
 
-	// hookMu guards hooks (written by this shard's movement workers) and
-	// timing (written at the round barrier); both are read by Snapshot.
+	// hookMu guards ledger (written by this shard's movement workers,
+	// admission and rejection) and timing (written at the round barrier);
+	// both are read by Snapshot. The ledger is the shard's share of the
+	// paper's Section V metrics — the offline Simulator returns shard 0's.
 	hookMu sync.Mutex
-	hooks  hookCounters
+	ledger *sim.Metrics
 	timing shardTiming
+	slaSec float64 // > 0: deliveries slower than this are SLA violations (NewSimulator only)
 }
 
 // Engine is the online dispatcher. All exported methods are safe for
@@ -413,19 +402,16 @@ func New(g *roadnet.Graph, fleet []*model.Vehicle, cfg Config) (*Engine, error) 
 	if cfg.BoundaryM <= 0 {
 		cfg.BoundaryM = 800
 	}
-	if cfg.SPBound <= 0 {
-		cfg.SPBound = 2 * cfg.Pipeline.MaxFirstMile
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Trace == nil {
 		cfg.Trace = trace.Discard
 	}
+	spBound := 2 * cfg.Pipeline.MaxFirstMile
 	if cfg.NewRouter == nil {
-		bound := cfg.SPBound
 		cfg.NewRouter = func(g *roadnet.Graph) roadnet.Router {
-			return roadnet.NewBoundedRouter(g, bound)
+			return roadnet.NewBoundedRouter(g, spBound)
 		}
 	}
 	decG := cfg.DecisionGraph
@@ -492,38 +478,15 @@ func New(g *roadnet.Graph, fleet []*model.Vehicle, cfg Config) (*Engine, error) 
 			pol:     cfg.NewPolicy(),
 			router:  roadnet.NewSwapRouter(decG, cfg.NewRouter),
 			slot:    -1,
-			sdt:     roadnet.NewBoundedRouter(g, cfg.SPBound),
+			sdt:     roadnet.NewBoundedRouter(g, spBound),
 			sdtSlot: -1,
+			ledger:  sim.NewMetrics(cfg.Pipeline.MaxO),
 		}
-		// Each shard advances its own vehicles with its own mover: the
-		// hooks below write shard-resident counters, so the parallel
+		// Each shard advances its own vehicles with its own mover: its
+		// hooks book into the shard's own ledger, so the parallel
 		// movement phase shares no statistics mutex across zones.
 		st.mover = sim.NewMover(g, cfg.Trace)
-		st.mover.Hooks = sim.MoveHooks{
-			Wait: func(_ *model.Vehicle, sec, _ float64) {
-				st.hookMu.Lock()
-				st.hooks.waitSec += sec
-				st.hookMu.Unlock()
-			},
-			Deliver: func(o *model.Order, _ *model.Vehicle, _ float64) {
-				st.hookMu.Lock()
-				st.hooks.delivered++
-				st.hooks.xdtSec += o.XDT()
-				st.hookMu.Unlock()
-				e.totals.delivered.Inc()
-			},
-			Distance: func(_ *model.Vehicle, meters float64, _ int, _ float64) {
-				st.hookMu.Lock()
-				st.hooks.distM += meters
-				st.hookMu.Unlock()
-			},
-			Strand: func(*model.Order) {
-				st.hookMu.Lock()
-				st.hooks.stranded++
-				st.hookMu.Unlock()
-				e.totals.stranded.Inc()
-			},
-		}
+		st.mover.Hooks = e.ledgerHooks(st)
 		if cfg.Learner != nil {
 			// Finished edge traversals are the engine's GPS plane: each one
 			// is a perfectly map-matched sample of the *true* graph's β. The

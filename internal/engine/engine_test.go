@@ -10,6 +10,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/policy"
 	"repro/internal/roadnet"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -99,6 +100,72 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 	if relDiff(float64(snap.Delivered), float64(one.Delivered)) > 0.05 {
 		t.Errorf("shards=4: delivered %d, unsharded %d — diverges more than 5%%", snap.Delivered, one.Delivered)
+	}
+}
+
+// TestOnlineLedgerOracle checks the shard ledgers of a parallel 2-shard
+// replay against an oracle rebuilt from the event stream: Snapshot's
+// delivered count and XDT are exactly the orders the trace saw delivered,
+// and every shard's ledger is internally consistent.
+func TestOnlineLedgerOracle(t *testing.T) {
+	city := testCityB
+	start, end := 18.0*3600, 18.25*3600
+	orders := workload.OrderStreamWindow(city, 1, start, end)
+	byID := make(map[model.OrderID]*model.Order, len(orders))
+	for _, o := range orders {
+		byID[o.ID] = o
+	}
+	fleet := city.Fleet(1.0, testConfig().MaxO, 1)
+	e, rec := replay(t, city, orders, fleet,
+		Config{Pipeline: testConfig(), Shards: 2, Workers: 2}, start, end)
+	if !e.Idle() {
+		t.Fatal("replay did not drain")
+	}
+	delivered := rec.Filter(trace.OrderDelivered)
+	xdt := 0.0
+	for _, ev := range delivered {
+		xdt += byID[ev.Order].XDT()
+	}
+	snap := e.Snapshot()
+	if len(delivered) == 0 || snap.Delivered != int64(len(delivered)) {
+		t.Fatalf("Snapshot delivered %d, trace delivered %d", snap.Delivered, len(delivered))
+	}
+	if relDiff(snap.XDTSec, xdt) > 1e-9 {
+		t.Fatalf("Snapshot XDT %v s, Σ order XDT %v s", snap.XDTSec, xdt)
+	}
+	// Handoffs let a zone deliver orders placed in another zone, so the
+	// delivered+rejected+stranded ≤ placed bound holds engine-wide: each
+	// shard's ledger is validated against the engine's placements, and the
+	// sum of the ledgers against its own.
+	ledgers := make([]sim.Metrics, len(e.shards))
+	sum := sim.NewMetrics(testConfig().MaxO)
+	for i, s := range e.shards {
+		s.hookMu.Lock()
+		ledgers[i] = *s.ledger
+		s.hookMu.Unlock()
+		m := &ledgers[i]
+		sum.TotalOrders += m.TotalOrders
+		sum.Delivered += m.Delivered
+		sum.Rejected += m.Rejected
+		sum.Stranded += m.Stranded
+		sum.DistM += m.DistM
+		for k, d := range m.LoadDistM {
+			sum.LoadDistM[k] += d
+		}
+	}
+	for i := range ledgers {
+		ledgers[i].TotalOrders = sum.TotalOrders
+		if err := ledgers[i].Validate(); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+	}
+	if err := sum.Validate(); err != nil {
+		t.Fatalf("Σ shard ledgers: %v", err)
+	}
+	if int64(sum.TotalOrders) != snap.OrdersAdmitted || int64(sum.Rejected) != snap.Rejected ||
+		sum.Delivered+sum.Rejected+sum.Stranded != sum.TotalOrders {
+		t.Fatalf("Σ ledgers placed %d delivered %d rejected %d stranded %d; Snapshot admitted %d rejected %d",
+			sum.TotalOrders, sum.Delivered, sum.Rejected, sum.Stranded, snap.OrdersAdmitted, snap.Rejected)
 	}
 }
 

@@ -25,7 +25,7 @@ type counters struct {
 	resplits, resplitMoves          *obs.Counter // re-splits; vehicles they migrated
 	publishesFull, publishesPatched *obs.Counter // weight epochs; imports count as full
 	// delivered and stranded are the one mirrored pair: the parallel
-	// movement workers count them per shard (shardState.hooks), which the
+	// movement workers book them per shard (shardState.ledger), which the
 	// per-zone rows and the JSON totals read, and
 	// foodmatch_orders_total{event="delivered"|"stranded"} mirror their sum.
 	delivered, stranded *obs.Counter
@@ -144,9 +144,9 @@ type RoundStats struct {
 }
 
 // ShardMetrics is one zone's resident-state summary on the metrics plane:
-// what lives in the shard right now and what its rounds cost. Served by
-// Snapshot (and so foodmatchd's GET /metrics) without touching the round
-// lock.
+// what lives in the shard, what its rounds cost and its ledger's totals.
+// Served by Snapshot (and so foodmatchd's GET /metrics) without touching
+// the round lock.
 type ShardMetrics struct {
 	Shard int `json:"shard"`
 	// Vehicles / PoolDepth are the shard-resident populations (sampled
@@ -165,7 +165,8 @@ type ShardMetrics struct {
 	AssignSecTotal  float64 `json:"assign_sec_total"`
 	LastAdvanceSec  float64 `json:"last_advance_sec"`
 	LastAssignSec   float64 `json:"last_assign_sec"`
-	// Movement-plane counters accumulated by the shard's own mover hooks.
+	// Movement-plane totals from the shard's sim.Metrics ledger, which the
+	// offline Simulator returns (shard 0's) as its Section V metrics.
 	Delivered int64   `json:"delivered"`
 	Stranded  int64   `json:"stranded"`
 	XDTSec    float64 `json:"xdt_sec"`
@@ -257,11 +258,11 @@ func (e *Engine) Snapshot() Metrics {
 			ShardEpoch: m.ShardEpoch,
 		}
 		s.hookMu.Lock()
-		sm.Delivered = s.hooks.delivered
-		sm.Stranded = s.hooks.stranded
-		sm.XDTSec = s.hooks.xdtSec
-		sm.WaitSec = s.hooks.waitSec
-		sm.DistKm = s.hooks.distM / 1000
+		sm.Delivered = int64(s.ledger.Delivered)
+		sm.Stranded = int64(s.ledger.Stranded)
+		sm.XDTSec = s.ledger.XDTSec
+		sm.WaitSec = s.ledger.WaitSec
+		sm.DistKm = s.ledger.DistM / 1000
 		sm.Rounds = s.timing.rounds
 		sm.AdvanceSecTotal = s.timing.advanceSecTotal
 		sm.AssignSecTotal = s.timing.assignSecTotal

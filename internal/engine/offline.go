@@ -43,7 +43,8 @@ type SimOptions struct {
 	// SLASec, when positive, counts every delivery whose realised duration
 	// exceeds it as an SLA violation (Metrics.SLAViolations) — the
 	// service-level lens the multi-day experiment harness reports next to
-	// XDT. 0 disables the counter.
+	// XDT. It becomes the shard's threshold, so the engine's own Deliver
+	// hook books the violation into the ledger. 0 disables the counter.
 	SLASec float64
 	// OnRound, when set, receives every window's RoundStats, span tree
 	// included. The callback runs on the simulation goroutine; the
@@ -56,22 +57,18 @@ type SimOptions struct {
 // collects the paper's evaluation metrics. It is a driver, not a second
 // dispatcher: every window is one StepContext of a private single-shard,
 // single-worker Engine, so offline tables and online decisions come from the
-// same round. One shard and one worker keep the run on one goroutine at a
-// time, which is what makes the float sums in Metrics bit-reproducible.
+// same round, and offline tables and the engine's Snapshot read the same
+// ledger. One shard and one worker keep the run on one goroutine at a time,
+// which is what makes the float sums in Metrics bit-reproducible.
 type Simulator struct {
 	e       *Engine
 	onRound func(RoundStats)
-	metrics *sim.Metrics
 }
 
 // NewSimulator builds a simulator. Orders must carry PlacedAt/Items/Prep
 // (PlacedAt is honoured verbatim, including 0); SDT is computed at
 // admission. Vehicles should be parked at valid nodes.
 func NewSimulator(g *roadnet.Graph, orders []*model.Order, fleet []*model.Vehicle, pol policy.Policy, cfg *model.Config, opts SimOptions) (*Simulator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err // before MaxO sizes the metrics
-	}
-	m := sim.NewMetrics(cfg.MaxO)
 	ecfg := Config{
 		Pipeline: cfg,
 		// The same instance on purpose: observers hung on the caller's
@@ -79,7 +76,7 @@ func NewSimulator(g *roadnet.Graph, orders []*model.Order, fleet []*model.Vehicl
 		NewPolicy:     func() policy.Policy { return pol },
 		Shards:        1,
 		Workers:       1,
-		Trace:         newMetricsSink(m, cfg.Omega, opts.Trace),
+		Trace:         opts.Trace,
 		DecisionGraph: opts.DecisionGraph,
 		DisableObs:    opts.OnRound == nil,
 	}
@@ -104,45 +101,21 @@ func NewSimulator(g *roadnet.Graph, orders []*model.Order, fleet []*model.Vehicl
 	sort.SliceStable(e.future, func(i, j int) bool { return e.future[i].PlacedAt < e.future[j].PlacedAt })
 	e.futureLen.Store(int64(len(e.future)))
 
-	slaSec, learner := opts.SLASec, opts.Learner
-	e.shards[0].mover.Hooks = sim.MoveHooks{
-		Wait: func(_ *model.Vehicle, sec, t float64) {
-			m.WaitSec += sec
-			m.SlotWaitSec[roadnet.Slot(t)] += sec
-		},
-		Deliver: func(o *model.Order, _ *model.Vehicle, _ float64) {
-			m.Delivered++
-			m.DeliverySec += o.DeliveryTime()
-			if slaSec > 0 && o.DeliveryTime() > slaSec {
-				m.SLAViolations++
-			}
-			xdt := o.XDT()
-			m.XDTSec += xdt
-			slot := roadnet.Slot(o.PlacedAt)
-			m.SlotXDTSec[slot] += xdt
-			m.SlotDelivered[slot]++
-		},
-		Distance: func(_ *model.Vehicle, meters float64, load int, t float64) {
-			m.DistM += meters
-			if load < len(m.LoadDistM) {
-				m.LoadDistM[load] += meters
-			}
-			slot := roadnet.Slot(t)
-			m.SlotDistM[slot] += meters
-			m.SlotLoadDistM[slot] += float64(load) * meters
-		},
-		Strand: func(*model.Order) { m.Stranded++ },
-	}
-	if learner != nil {
-		e.shards[0].mover.Hooks.Edge = func(_ *model.Vehicle, from, to roadnet.NodeID, tEnter, sec float64) {
+	// The engine's own mover hooks book the paper metrics into the shard's
+	// ledger; the simulator only adds the SLA threshold and the learner.
+	st := e.shards[0]
+	st.slaSec = opts.SLASec
+	if learner := opts.Learner; learner != nil {
+		st.mover.Hooks.Edge = func(_ *model.Vehicle, from, to roadnet.NodeID, tEnter, sec float64) {
 			learner.ObserveEdge(from, to, tEnter, sec)
 		}
 	}
-	return &Simulator{e: e, onRound: opts.OnRound, metrics: m}, nil
+	return &Simulator{e: e, onRound: opts.OnRound}, nil
 }
 
-// Metrics exposes the metric sink (live during Run).
-func (s *Simulator) Metrics() *sim.Metrics { return s.metrics }
+// Metrics exposes the engine's shard ledger — the one Snapshot and
+// /metrics read — live during Run.
+func (s *Simulator) Metrics() *sim.Metrics { return s.e.shards[0].ledger }
 
 // Run simulates [start, end) plus a drain phase and returns the metrics.
 func (s *Simulator) Run(start, end float64) *sim.Metrics {
@@ -158,7 +131,7 @@ func (s *Simulator) RunContext(ctx context.Context, start, end float64) *sim.Met
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e, m := s.e, s.metrics
+	e, m := s.e, s.Metrics()
 	for now := start; now < end+drainCapSec && ctx.Err() == nil; {
 		now += e.cfg.Pipeline.Delta
 		s.recordRound(e.StepContext(ctx, now))
@@ -169,8 +142,7 @@ func (s *Simulator) RunContext(ctx context.Context, start, end float64) *sim.Met
 	// Anything still undelivered at drain end was never served.
 	st := e.shards[0]
 	for _, o := range st.pool {
-		o.State = model.OrderRejected
-		e.cfg.Trace.Emit(trace.Event{Kind: trace.OrderRejected, T: e.clock, Order: o.ID})
+		e.reject(st, o, e.clock)
 	}
 	st.pool = st.pool[:0]
 	st.poolLen.Store(0)
@@ -179,7 +151,7 @@ func (s *Simulator) RunContext(ctx context.Context, start, end float64) *sim.Met
 			for _, o := range held {
 				if o.State != model.OrderDelivered {
 					o.State = model.OrderRejected
-					m.Stranded++
+					st.mover.Hooks.Strand(o)
 				}
 			}
 		}
@@ -190,7 +162,7 @@ func (s *Simulator) RunContext(ctx context.Context, start, end float64) *sim.Met
 
 // recordRound books one window's RoundStats into the per-window metrics.
 func (s *Simulator) recordRound(rs RoundStats) {
-	m, cfg := s.metrics, s.e.cfg.Pipeline
+	m, cfg := s.Metrics(), s.e.cfg.Pipeline
 	slot := roadnet.Slot(rs.T - cfg.Delta/2) // attribute to the window's interior
 	m.Windows++
 	m.SlotWindows[slot]++
@@ -206,36 +178,4 @@ func (s *Simulator) recordRound(rs RoundStats) {
 	if s.onRound != nil {
 		s.onRound(rs)
 	}
-}
-
-// metricsSink books placements and rejections into the paper metrics on
-// their way to the caller's sink. Rejections are attributed to the order's
-// placement slot, which only the OrderPlaced event carries.
-type metricsSink struct {
-	m          *sim.Metrics
-	omega      float64
-	placedSlot map[model.OrderID]int
-	next       trace.Sink
-}
-
-func newMetricsSink(m *sim.Metrics, omega float64, next trace.Sink) *metricsSink {
-	if next == nil {
-		next = trace.Discard
-	}
-	return &metricsSink{m: m, omega: omega, placedSlot: make(map[model.OrderID]int), next: next}
-}
-
-func (k *metricsSink) Emit(ev trace.Event) {
-	switch ev.Kind {
-	case trace.OrderPlaced:
-		slot := roadnet.Slot(ev.T)
-		k.placedSlot[ev.Order] = slot
-		k.m.TotalOrders++
-		k.m.SlotOrders[slot]++
-	case trace.OrderRejected:
-		k.m.Rejected++
-		k.m.RejectionPenaltySec += k.omega
-		k.m.SlotRejectionSec[k.placedSlot[ev.Order]] += k.omega
-	}
-	k.next.Emit(ev)
 }

@@ -1,35 +1,48 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// offlineDinner runs the CityB 18:00–18:30 slice (the same slice as
-// goldenReplay) through the offline Simulator and returns the recorded
-// event stream, the metrics and every RoundStats handed to OnRound.
-func offlineDinner(t *testing.T, onRound bool) (*trace.Recorder, string, []RoundStats) {
+// offlineDinnerStart / offlineDinnerEnd bound the CityB slice the offline
+// tests replay (the same slice as goldenReplay).
+const offlineDinnerStart, offlineDinnerEnd = 18.0 * 3600, 18.5 * 3600
+
+// newOfflineDinner builds a Simulator over the CityB 18:00–18:30 slice,
+// emitting the event stream into rec (nil = discard); onRound (nil =
+// unset) becomes SimOptions.OnRound, which switches the obs plane on.
+func newOfflineDinner(t *testing.T, rec trace.Sink, onRound func(RoundStats)) *Simulator {
 	t.Helper()
 	city := testCityB
-	start, end := 18.0*3600, 18.5*3600
-	orders := workload.OrderStreamWindow(city, 1, start, end)
+	orders := workload.OrderStreamWindow(city, 1, offlineDinnerStart, offlineDinnerEnd)
 	fleet := city.Fleet(1.0, testConfig().MaxO, 1)
-	rec := trace.NewRecorder()
-	opts := SimOptions{Trace: rec, SLASec: 1800}
-	var rounds []RoundStats
-	if onRound {
-		opts.OnRound = func(rs RoundStats) { rounds = append(rounds, rs) }
-	}
+	opts := SimOptions{Trace: rec, SLASec: 1800, OnRound: onRound}
 	s, err := NewSimulator(city.G, orders, fleet, newTestPolicy(), testConfig(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := s.Run(start, end)
+	return s
+}
+
+// offlineDinner runs the offline dinner slice and returns the recorded
+// event stream, the metrics and every RoundStats handed to OnRound.
+func offlineDinner(t *testing.T, onRound bool) (*trace.Recorder, string, []RoundStats) {
+	t.Helper()
+	rec := trace.NewRecorder()
+	var rounds []RoundStats
+	var cb func(RoundStats)
+	if onRound {
+		cb = func(rs RoundStats) { rounds = append(rounds, rs) }
+	}
+	m := newOfflineDinner(t, rec, cb).Run(offlineDinnerStart, offlineDinnerEnd)
 
 	var lines []string
 	for _, ev := range rec.Snapshot() {
@@ -92,5 +105,74 @@ func TestOfflineWindowClosedCountsOrders(t *testing.T) {
 		if q.Depth < 0 {
 			t.Fatalf("negative queue depth %d at t=%v", q.Depth, q.T)
 		}
+	}
+}
+
+// TestOfflineSnapshotMatchesMetrics pins the one-ledger contract: the
+// Section V metrics the Simulator returns are the engine's own shard
+// ledger, so Snapshot (and, with obs on, the Prometheus exposition) reports
+// the same movement-plane totals bit for bit.
+func TestOfflineSnapshotMatchesMetrics(t *testing.T) {
+	for _, onRound := range []bool{false, true} {
+		var cb func(RoundStats)
+		if onRound {
+			cb = func(RoundStats) {}
+		}
+		s := newOfflineDinner(t, trace.NewRecorder(), cb)
+		m := s.Run(offlineDinnerStart, offlineDinnerEnd)
+		if m.Delivered == 0 {
+			t.Fatal("offline dinner slice delivered nothing")
+		}
+		snap := s.e.Snapshot()
+		if snap.Delivered != int64(m.Delivered) || snap.Stranded != int64(m.Stranded) ||
+			snap.XDTSec != m.XDTSec || snap.WaitSec != m.WaitSec || snap.DistKm != m.DistM/1000 {
+			t.Fatalf("onRound=%v: Snapshot delivered=%d stranded=%d xdt=%v wait=%v dist_km=%v; "+
+				"Metrics delivered=%d stranded=%d xdt=%v wait=%v dist_m=%v", onRound,
+				snap.Delivered, snap.Stranded, snap.XDTSec, snap.WaitSec, snap.DistKm,
+				m.Delivered, m.Stranded, m.XDTSec, m.WaitSec, m.DistM)
+		}
+		if !onRound {
+			continue
+		}
+		byName := map[string][]obs.MetricPoint{}
+		for _, p := range s.e.Obs().Gather() {
+			byName[p.Name] = append(byName[p.Name], p)
+		}
+		if got := counterValue(t, byName, "foodmatch_orders_total", obs.Labels{"event": "delivered"}); got != float64(m.Delivered) {
+			t.Fatalf("foodmatch_orders_total{event=delivered} = %v, Metrics.Delivered = %d", got, m.Delivered)
+		}
+		assertBooksAgree(t, s.e)
+	}
+}
+
+// TestOfflineConservesOrders checks ROADMAP's conservation invariant on the
+// offline path: after Run — and after a RunContext cancelled mid-run — every
+// admitted order is delivered, rejected or stranded exactly once, in the
+// engine's totals and in the returned metrics alike.
+func TestOfflineConservesOrders(t *testing.T) {
+	for _, cancelAfter := range []int{0, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		rounds := 0
+		s := newOfflineDinner(t, nil, func(RoundStats) {
+			if rounds++; rounds == cancelAfter {
+				cancel()
+			}
+		})
+		m := s.RunContext(ctx, offlineDinnerStart, offlineDinnerEnd)
+		cancel()
+		if cancelAfter > 0 && rounds != cancelAfter {
+			t.Fatalf("cancelled run stepped %d rounds, want %d", rounds, cancelAfter)
+		}
+		snap := s.e.Snapshot()
+		closed := snap.Delivered + snap.Rejected + snap.Stranded
+		if snap.OrdersAdmitted == 0 || snap.OrdersAdmitted != closed || snap.OrdersAdmitted != int64(m.TotalOrders) {
+			t.Fatalf("cancelAfter=%d: admitted %d, delivered %d + rejected %d + stranded %d = %d, Metrics.TotalOrders %d",
+				cancelAfter, snap.OrdersAdmitted, snap.Delivered, snap.Rejected, snap.Stranded, closed, m.TotalOrders)
+		}
+		if m.Delivered+m.Rejected+m.Stranded != m.TotalOrders || snap.Rejected != int64(m.Rejected) {
+			t.Fatalf("cancelAfter=%d: Metrics delivered %d + rejected %d + stranded %d != total %d (Snapshot rejected %d)",
+				cancelAfter, m.Delivered, m.Rejected, m.Stranded, m.TotalOrders, snap.Rejected)
+		}
+		assertBooksAgree(t, s.e)
 	}
 }

@@ -86,7 +86,6 @@ func (e *Engine) StepContext(ctx context.Context, now float64) RoundStats {
 
 	c := &e.totals
 	c.assigned.Add(int64(stats.AssignedOrders))
-	c.rejected.Add(int64(stats.Rejected))
 	c.handoffs.Add(int64(stats.Handoffs))
 	c.vehHandoffs.Add(int64(stats.VehicleHandoffs))
 	e.statMu.Lock()
@@ -184,6 +183,10 @@ func (e *Engine) admitFuture(now float64, arrived bool) {
 		e.demand[o.Restaurant]++
 		e.demandTotal++
 		e.totals.admitted.Inc()
+		s.hookMu.Lock()
+		s.ledger.TotalOrders++
+		s.ledger.SlotOrders[roadnet.Slot(o.PlacedAt)]++
+		s.hookMu.Unlock()
 		e.cfg.Trace.Emit(trace.Event{Kind: trace.OrderPlaced, T: o.PlacedAt, Order: o.ID})
 		// Admission is stamped with the round clock (OrderPlaced carries the
 		// placement time): the gap between the two is the submit-queue plus
@@ -574,6 +577,66 @@ func (e *Engine) forEachShard(parallel bool, fn func(s *shardState)) {
 	wg.Wait()
 }
 
+// ledgerHooks are a shard's mover hooks: they book its movement-plane ledger.
+func (e *Engine) ledgerHooks(st *shardState) sim.MoveHooks {
+	m := st.ledger
+	return sim.MoveHooks{
+		Wait: func(_ *model.Vehicle, sec, t float64) {
+			st.hookMu.Lock()
+			m.WaitSec += sec
+			m.SlotWaitSec[roadnet.Slot(t)] += sec
+			st.hookMu.Unlock()
+		},
+		Deliver: func(o *model.Order, _ *model.Vehicle, _ float64) {
+			st.hookMu.Lock()
+			m.Delivered++
+			m.DeliverySec += o.DeliveryTime()
+			if st.slaSec > 0 && o.DeliveryTime() > st.slaSec {
+				m.SLAViolations++
+			}
+			xdt := o.XDT()
+			m.XDTSec += xdt
+			slot := roadnet.Slot(o.PlacedAt)
+			m.SlotXDTSec[slot] += xdt
+			m.SlotDelivered[slot]++
+			st.hookMu.Unlock()
+			e.totals.delivered.Inc()
+		},
+		Distance: func(_ *model.Vehicle, meters float64, load int, t float64) {
+			st.hookMu.Lock()
+			m.DistM += meters
+			if load < len(m.LoadDistM) {
+				m.LoadDistM[load] += meters
+			}
+			slot := roadnet.Slot(t)
+			m.SlotDistM[slot] += meters
+			m.SlotLoadDistM[slot] += float64(load) * meters
+			st.hookMu.Unlock()
+		},
+		Strand: func(*model.Order) {
+			st.hookMu.Lock()
+			m.Stranded++
+			st.hookMu.Unlock()
+			e.totals.stranded.Inc()
+		},
+	}
+}
+
+// reject drops an order the engine will never serve: it books the rejection
+// into the shard's ledger, with Ω charged to the order's own placement slot,
+// and emits the lifecycle event.
+func (e *Engine) reject(s *shardState, o *model.Order, t float64) {
+	o.State = model.OrderRejected
+	omega := e.cfg.Pipeline.Omega
+	s.hookMu.Lock()
+	s.ledger.Rejected++
+	s.ledger.RejectionPenaltySec += omega
+	s.ledger.SlotRejectionSec[roadnet.Slot(o.PlacedAt)] += omega
+	s.hookMu.Unlock()
+	e.totals.rejected.Inc()
+	e.cfg.Trace.Emit(trace.Event{Kind: trace.OrderRejected, T: t, Order: o.ID})
+}
+
 // shardPhase1 is one zone's parallel pre-match phase: advance resident
 // vehicles through [t0, t1), reject stale pool orders, strip reshuffleable
 // pending orders, and classify residents into stay-home vehicle states vs
@@ -634,9 +697,8 @@ func (e *Engine) shardPhase1(s *shardState, advWorkers int, t0, t1 float64, resh
 	keep := s.pool[:0]
 	for _, o := range s.pool {
 		if t1-o.PlacedAt > cfg.RejectAfter {
-			o.State = model.OrderRejected
 			out.rejected++
-			e.cfg.Trace.Emit(trace.Event{Kind: trace.OrderRejected, T: t1, Order: o.ID})
+			e.reject(s, o, t1)
 			e.subs.publish(StreamEvent{Rejection: &Rejection{T: t1, Order: o.ID}})
 		} else {
 			keep = append(keep, o)
