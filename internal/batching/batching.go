@@ -20,7 +20,6 @@
 package batching
 
 import (
-	"container/heap"
 	"math"
 	"slices"
 
@@ -81,17 +80,45 @@ type mergeEdge struct {
 	w    float64
 }
 
+// edgeHeap is a binary min-heap of candidate merges by w. Its sift steps are
+// container/heap's one for one — the same comparisons, the same swaps — so
+// equal-weight edges pop in the same order, and every merge is the same, as
+// under the generic heap; typed, it boxes no edge in an interface.
 type edgeHeap []mergeEdge
 
-func (h edgeHeap) Len() int            { return len(h) }
-func (h edgeHeap) Less(a, b int) bool  { return h[a].w < h[b].w }
-func (h edgeHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *edgeHeap) Push(x interface{}) { *h = append(*h, x.(mergeEdge)) }
-func (h *edgeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+func (h *edgeHeap) push(e mergeEdge) {
+	*h = append(*h, e)
+	s := *h
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(s[j].w < s[i].w) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *edgeHeap) pop() mergeEdge {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s[r].w < s[j].w {
+			j = r
+		}
+		if !(s[j].w < s[i].w) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	e := s[n]
+	*h = s[:n]
 	return e
 }
 
@@ -177,8 +204,8 @@ func Run(rt roadnet.Router, orders []*model.Order, opt Options) *Result {
 		}
 	}
 
-	for w.heap.Len() > 0 && liveCount > 1 {
-		e := heap.Pop(&w.heap).(mergeEdge)
+	for len(w.heap) > 0 && liveCount > 1 {
+		e := w.heap.pop()
 		ni, nj := w.nodes[e.i], w.nodes[e.j]
 		if ni.dead || nj.dead {
 			continue // stale
@@ -287,5 +314,5 @@ func (w *window) pushEdge(i, j int) {
 	if !ok {
 		return
 	}
-	heap.Push(&w.heap, mergeEdge{i: i, j: j, w: cost - bi.Cost - bj.Cost})
+	w.heap.push(mergeEdge{i: i, j: j, w: cost - bi.Cost - bj.Cost})
 }

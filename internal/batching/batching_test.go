@@ -386,6 +386,33 @@ func TestRunMatchesReference(t *testing.T) {
 	}
 }
 
+// TestEdgeHeapMatchesContainerHeap holds the typed merge heap to
+// container/heap's pop order, ties included: weights drawn from a handful of
+// values make most comparisons equal, so any sift step that differs from the
+// generic heap's shows up as a different (i, j) sequence.
+func TestEdgeHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		var got edgeHeap
+		want := &refHeap{}
+		for step := 0; step < 300; step++ {
+			if len(got) == 0 || rng.Intn(3) != 0 {
+				e := mergeEdge{i: step, j: trial, w: float64(rng.Intn(5))}
+				got.push(e)
+				heap.Push(want, refEdge{i: e.i, j: e.j, w: e.w})
+				continue
+			}
+			g, r := got.pop(), heap.Pop(want).(refEdge)
+			if g.i != r.i || g.j != r.j || g.w != r.w {
+				t.Fatalf("trial %d step %d: typed heap popped %+v, container/heap %+v", trial, step, g, r)
+			}
+		}
+		if len(got) != want.Len() {
+			t.Fatalf("trial %d: typed heap holds %d edges, container/heap %d", trial, len(got), want.Len())
+		}
+	}
+}
+
 // What follows is Algorithm 1 as it ran before the window leg table: every
 // candidate merge builds its batch through mergeBatches, which reruns
 // routing.Optimize once per distinct start restaurant. Kept verbatim (the

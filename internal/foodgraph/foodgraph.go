@@ -3,17 +3,23 @@
 // the marginal cost mCost(π, v) of Eq. 7 — and its sparsified variant
 // constructed by best-first search (Algorithm 2).
 //
-// The sparsified construction explores the road network outward from each
-// vehicle in ascending order of the vehicle-sensitive edge weight α(v,e,t)
-// (Eq. 8), which blends normalised travel time with the angular distance
-// between a candidate node and the vehicle's current heading. Exploration
-// stops as soon as the vehicle has acquired k true-weight edges; all other
-// batches receive the rejection penalty Ω, pruning the quadratic edge-weight
-// computation the paper identifies as the scalability bottleneck.
+// The sparsified construction visits batch start nodes in ascending order
+// of the vehicle-sensitive edge weight α(v,e,t) (Eq. 8), which blends
+// normalised travel time with the angular distance between a candidate node
+// and the vehicle's current heading. It stops as soon as the vehicle has
+// acquired k true-weight edges; all other batches receive the rejection
+// penalty Ω, pruning the quadratic edge-weight computation the paper
+// identifies as the scalability bottleneck. A moving vehicle explores the
+// road network outward by α; a vehicle with no heading has α proportional to
+// travel time, so it walks its first-mile row — the travel times to every
+// batch start that pricing its edges reads anyway — in ascending order
+// instead of searching.
 package foodgraph
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/geo"
@@ -59,8 +65,10 @@ type Options struct {
 	K int
 	// Gamma is the Eq. 8 blend: 1 = pure travel time, 0 = pure direction.
 	Gamma float64
-	// Angular enables the angular-distance term; disabled it degrades α to
-	// γ-scaled normalised travel time (ordering identical to plain β).
+	// Angular enables the angular-distance term. Disabled — or for a vehicle
+	// with no heading — α degrades to γ-scaled normalised travel time, and
+	// best-first construction walks the vehicle's first-mile row in
+	// ascending travel time instead of searching the road network.
 	Angular bool
 	// BestFirst selects the sparsified construction; false computes the full
 	// quadratic FoodGraph (vanilla KM and the B&R-only ablation).
@@ -99,9 +107,10 @@ type Bipartite struct {
 
 // buildScratch pools the per-Build working set: the batch start index, the
 // distinct first-pickup target list for many-to-many first-mile queries, the
-// per-vehicle base costs, and the per-vehicle best-first search state
-// (epoch-stamped visited array and frontier heap) reused across every vehicle
-// in the window.
+// per-vehicle base costs, the nearest-start order of idle vehicles, and the
+// per-vehicle best-first search state (epoch-stamped visited and
+// angular-distance arrays, frontier heap) reused across every vehicle in the
+// window.
 type buildScratch struct {
 	startIdx map[roadnet.NodeID][]int
 	targets  []roadnet.NodeID // distinct first-pickup nodes, first-encounter order
@@ -110,9 +119,14 @@ type buildScratch struct {
 	// vehicle j's edges: priced on the vehicle's first edge, NaN until then.
 	base     []float64
 	extended []*model.Order // keep ∪ batch, rebuilt per edge
+	near     []nearStart    // an idle vehicle's in-bound batch starts
 	visited  []uint32
-	vepoch   uint32
-	pq       nodeHeap
+	// adist[u] is node u's angular distance from the searching vehicle's
+	// heading, valid when adSeen[u] carries the search's epoch.
+	adist  []float64
+	adSeen []uint32
+	vepoch uint32
+	pq     nodeHeap
 }
 
 var scratchPool = sync.Pool{
@@ -203,6 +217,7 @@ func fullEdges(rt roadnet.Router, batches []*model.Batch, sc *buildScratch, vs *
 // bestFirstEdges is Algorithm 2 for a single vehicle: explore the road
 // network in ascending α-distance, attaching true-weight edges to batches
 // whose first pickup is at each settled node, until the vehicle has degree k.
+// A vehicle without a heading takes nearestEdges instead.
 func bestFirstEdges(g *roadnet.Graph, rt roadnet.Router, batches []*model.Batch, sc *buildScratch, vs *VehicleState, j int, bp *Bipartite, opt Options) {
 	startIdx := sc.startIdx
 	source := vs.Node
@@ -217,39 +232,30 @@ func bestFirstEdges(g *roadnet.Graph, rt roadnet.Router, batches []*model.Batch,
 			angular, heading = true, geo.Bearing(locPt, destPt)
 		}
 	}
+	if !angular {
+		// With no heading (idle vehicle) the directional term is 0; the paper
+		// defines adist only for moving vehicles.
+		nearestEdges(rt, batches, sc, vs, j, bp, opt)
+		return
+	}
 	maxBeta := g.MaxBeta(opt.Now)
 
-	// alphaWeight implements Eq. 8 for the edge (u, u') entered during the
-	// search. Angular distance is measured from the vehicle's *current*
-	// location towards the candidate node u', per Section IV-D1.
-	alphaWeight := func(e roadnet.Edge) float64 {
-		beta := g.EdgeTime(e, opt.Now) / maxBeta
-		if !angular {
-			// With no heading (idle vehicle) the directional term is 0; the
-			// paper defines adist only for moving vehicles.
-			return opt.Gamma * beta
-		}
-		ad := 0.0
-		if u := g.Point(e.To); u != locPt {
-			ad = (1 - math.Cos(heading-geo.Bearing(locPt, u))) / 2
-		}
-		return (1-opt.Gamma)*ad + opt.Gamma*beta
-	}
-
 	n := g.NumNodes()
-	// Epoch-stamped visited array and frontier heap, reused across every
-	// vehicle in the window (and across windows via the scratch pool).
+	// Epoch-stamped visited and angular-distance arrays and frontier heap,
+	// reused across every vehicle in the window (and across windows via the
+	// scratch pool).
 	if len(sc.visited) < n {
 		sc.visited = make([]uint32, n)
+		sc.adist = make([]float64, n)
+		sc.adSeen = make([]uint32, n)
 	}
 	sc.vepoch++
 	if sc.vepoch == 0 { // stamp wrap: re-zero once per 2^32 searches
-		for i := range sc.visited {
-			sc.visited[i] = 0
-		}
+		clear(sc.visited)
+		clear(sc.adSeen)
 		sc.vepoch = 1
 	}
-	visited, ep := sc.visited, sc.vepoch
+	visited, adist, adSeen, ep := sc.visited, sc.adist, sc.adSeen, sc.vepoch
 	pq := &sc.pq
 	pq.reset()
 	pq.push(source, 0)
@@ -271,18 +277,95 @@ func bestFirstEdges(g *roadnet.Graph, rt roadnet.Router, batches []*model.Batch,
 				}
 			}
 		}
+		// Eq. 8 for each edge (u, v) entered: angular distance is measured
+		// from the vehicle's *current* location towards the candidate node v
+		// (Section IV-D1), so within one search it depends on v alone and is
+		// computed once per node however many edges enter it.
 		for _, e := range g.OutEdges(u) {
-			if visited[e.To] != ep {
-				pq.push(e.To, du+alphaWeight(e))
+			v := e.To
+			if visited[v] == ep {
+				continue
+			}
+			if adSeen[v] != ep {
+				adSeen[v] = ep
+				ad := 0.0
+				if p := g.Point(v); p != locPt {
+					ad = (1 - math.Cos(heading-geo.Bearing(locPt, p))) / 2
+				}
+				adist[v] = ad
+			}
+			beta := g.EdgeTime(e, opt.Now) / maxBeta
+			pq.push(v, du+((1-opt.Gamma)*adist[v]+opt.Gamma*beta))
+		}
+	}
+}
+
+// nearestEdges is Algorithm 2 for a vehicle with no heading. There α is
+// γ·β/maxβ, so the search's settle order is ascending travel time from
+// vs.Node: exactly the order of the first-mile row to the batch starts. One
+// many-to-many query reads that row, and the in-bound starts are handled
+// nearest first, by (travel time, target index), until the vehicle has
+// degree k — the search loop's per-node rule.
+//
+// The edges a vehicle gets depend only on which start nodes are handled
+// before it reaches degree k: setEdge has no order-dependent effect (the
+// base cost sc.base[j] is the same whichever edge prices it first), and a
+// start beyond MaxFirstMile or unreachable adds no edge on either path. The
+// search and the row walk can therefore disagree only at the k-th edge, and
+// only where two starts' travel times tie, or differ by a few ulps of the
+// γ/maxβ scaling the search sums edge by edge; the row walk breaks such ties
+// by target index where the search's heap broke them arbitrarily. With γ = 0
+// every idle α is 0 and the search's order was wholly heap-arbitrary; the row
+// walk keeps the travel-time order.
+//
+// A vehicle no batch fits (Definition 4) gets no edge on either path and,
+// as under the search, never reaches the router.
+func nearestEdges(rt roadnet.Router, batches []*model.Batch, sc *buildScratch, vs *VehicleState, j int, bp *Bipartite, opt Options) {
+	baseO, baseI := vs.BaseOrders(), vs.BaseItems()
+	if !slices.ContainsFunc(batches, func(b *model.Batch) bool {
+		return baseO+len(b.Orders) <= opt.MaxO && baseI+b.Items() <= opt.MaxI
+	}) {
+		return
+	}
+	fm := roadnet.TravelMany(rt, vs.Node, sc.targets, opt.Now)
+	near := sc.near[:0]
+	for t, d := range fm {
+		if d <= opt.MaxFirstMile {
+			near = append(near, nearStart{fm: d, t: int32(t)})
+		}
+	}
+	slices.SortFunc(near, func(a, b nearStart) int {
+		if c := cmp.Compare(a.fm, b.fm); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.t, b.t)
+	})
+	sc.near = near
+	degree := 0
+	for _, s := range near {
+		if degree >= opt.K {
+			return
+		}
+		for _, bi := range sc.startIdx[sc.targets[s.t]] {
+			if setEdge(rt, sc, batches[bi], vs, bi, j, bp, opt, s.fm) {
+				degree++
 			}
 		}
 	}
 }
 
+// nearStart is a batch start node by its index in the Build's target list
+// and the vehicle's first mile to it.
+type nearStart struct {
+	fm float64
+	t  int32
+}
+
 // setEdge computes mCost(π, v) and installs the edge when feasible; returns
 // whether a true (non-Ω) edge was added. fm is the precomputed first-mile
 // distance SP(loc(v), π[1]ʳ, Now) from a batched query, or NaN to resolve it
-// here (the best-first path, which must stay lazy to preserve its pruning).
+// here (the moving-vehicle search, which must stay lazy to preserve its
+// pruning).
 func setEdge(rt roadnet.Router, sc *buildScratch, b *model.Batch, vs *VehicleState, i, j int, bp *Bipartite, opt Options, fm float64) bool {
 	// Capacity feasibility (Definition 4).
 	if vs.BaseOrders()+len(b.Orders) > opt.MaxO {
