@@ -107,8 +107,10 @@ type Config struct {
 	// pipeline consumes (called once per shard, so instances need not be
 	// safe for concurrent use). Nil defaults to a bounded-SSSP distance
 	// cache capped at 2×Pipeline.MaxFirstMile — swap in hub labels, CCH or
-	// plain Dijkstra per workload. SDT metric queries always use an internal
-	// bounded cache (same cap) regardless.
+	// plain Dijkstra per workload. SDT admission reads that default cache
+	// when it serves the true graph (no NewRouter, Learner or
+	// DecisionGraph); otherwise each shard keeps a separate bounded cache
+	// (same cap) over the true graph for SDT.
 	NewRouter func(g *roadnet.Graph) roadnet.Router
 	// Workers bounds the goroutines advancing vehicle movement between
 	// rounds; 0 defaults to GOMAXPROCS. The budget is split across zone
@@ -245,19 +247,21 @@ type shardState struct {
 	id     int
 	pol    policy.Policy
 	router *roadnet.SwapRouter
-	slot   int // slot the router's memoised rows belong to
+	slot   int // slot the memoised rows of router and sdt belong to
 
 	motions []*motionRt    // vehicles homed in this zone
 	pool    []*model.Order // placed, unassigned orders homed in this zone
 	mover   *sim.Mover     // per-shard mover: hooks book into ledger
 
 	// newOrders holds this round's freshly admitted orders awaiting their
-	// SDT lower bound, computed in the shard's parallel phase on sdt (a
-	// per-shard bounded distance cache over the true graph) — admission-time
-	// Dijkstra work stays off the serial drain path.
+	// SDT lower bound, computed in the shard's parallel phase on the true
+	// graph — admission-time Dijkstra work stays off the serial drain path.
+	// sdt is a bounded cache over the true graph, kept only when router's
+	// rows are not the true graph's bounded rows (a custom NewRouter, a
+	// Learner or a DecisionGraph); nil means SDT reads router, so the
+	// shard holds one distance memo.
 	newOrders []*model.Order
 	sdt       *roadnet.DistCache
-	sdtSlot   int
 	// sdtOrders / sdtTargets are round-scratch for grouping newOrders by
 	// (restaurant, slot) so each group's SDTs resolve through one batched
 	// row query; retained across rounds to keep the hot path alloc-free.
@@ -409,6 +413,7 @@ func New(g *roadnet.Graph, fleet []*model.Vehicle, cfg Config) (*Engine, error) 
 		cfg.Trace = trace.Discard
 	}
 	spBound := 2 * cfg.Pipeline.MaxFirstMile
+	defaultRouter := cfg.NewRouter == nil
 	if cfg.NewRouter == nil {
 		cfg.NewRouter = func(g *roadnet.Graph) roadnet.Router {
 			return roadnet.NewBoundedRouter(g, spBound)
@@ -474,13 +479,16 @@ func New(g *roadnet.Graph, fleet []*model.Vehicle, cfg Config) (*Engine, error) 
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		st := &shardState{
-			id:      s,
-			pol:     cfg.NewPolicy(),
-			router:  roadnet.NewSwapRouter(decG, cfg.NewRouter),
-			slot:    -1,
-			sdt:     roadnet.NewBoundedRouter(g, spBound),
-			sdtSlot: -1,
-			ledger:  sim.NewMetrics(cfg.Pipeline.MaxO),
+			id:     s,
+			pol:    cfg.NewPolicy(),
+			router: roadnet.NewSwapRouter(decG, cfg.NewRouter),
+			slot:   -1,
+			ledger: sim.NewMetrics(cfg.Pipeline.MaxO),
+		}
+		// The default router's rows are exactly what an SDT cache would
+		// hold unless the decision plane runs another graph or epochs.
+		if !defaultRouter || cfg.Learner != nil || decG != g {
+			st.sdt = roadnet.NewBoundedRouter(g, spBound)
 		}
 		// Each shard advances its own vehicles with its own mover: its
 		// hooks book into the shard's own ledger, so the parallel

@@ -61,8 +61,8 @@ func (e *Engine) StepContext(ctx context.Context, now float64) RoundStats {
 	e.drainOrders(now)
 	drainSec := time.Since(t0).Seconds()
 
-	// Slot boundary: weights changed, memoised distance rows are stale
-	// (each shard resets its own caches lazily against this slot).
+	// Slot boundary: each shard drops its distance memos against this slot
+	// at the top of its phase 1.
 	if s := roadnet.Slot(now); s != e.slot {
 		e.slot = s
 	}
@@ -351,7 +351,7 @@ func (e *Engine) runRound(ctx context.Context, t0, now, drainSec float64) RoundS
 	// before V(ℓ)/O(ℓ) bucketing — so the match phase below already runs on
 	// the new zones and this round's pool rebuild re-buckets through the new
 	// sharder (pools migrate without a dedicated pass).
-	resplit, resplitMoves, resplitSec := e.maybeResplit(now)
+	resplitMoves, resplitSec := e.maybeResplit(now)
 	stats.ShardEpoch = e.shardEpoch.Load()
 	stats.ResplitMoves = resplitMoves
 
@@ -382,11 +382,6 @@ func (e *Engine) runRound(ctx context.Context, t0, now, drainSec float64) RoundS
 	if len(orders) > 0 && availTotal > 0 {
 		stats.Handoffs = e.partitionOrders(orders, work)
 	}
-	if resplit {
-		// Fresh zones start with cold distance rows; warm them by parallel
-		// bounded SSSP before the match phase queries them.
-		e.warmShards(work, now)
-	}
 	handoffSec := time.Since(phT).Seconds()
 
 	// ---- Parallel phase 2: every zone's pipeline on its own policy
@@ -408,12 +403,6 @@ func (e *Engine) runRound(ctx context.Context, t0, now, drainSec float64) RoundS
 			// load at all.
 			snap, router := sr.router.Acquire()
 			w.epoch = snap.Epoch
-			if sr.slot != e.slot {
-				sr.slot = e.slot
-				if r, ok := router.(roadnet.Resettable); ok {
-					r.Reset()
-				}
-			}
 			t0 := time.Now()
 			w.res = sr.pol.Assign(ctx, &policy.WindowInput{
 				G:         snap.Graph,
@@ -647,13 +636,25 @@ func (e *Engine) shardPhase1(s *shardState, advWorkers int, t0, t1 float64, resh
 	cfg := e.cfg.Pipeline
 	var out phase1Out
 
+	// Rows are keyed by (source, slot), so a slot change leaves them exact
+	// but mostly idle: this is the one place a shard drops its memos, once
+	// per slot, before SDT or the match phase reads them.
+	if s.slot != e.slot {
+		s.slot = e.slot
+		s.router.Reset()
+		if s.sdt != nil {
+			s.sdt.Reset()
+		}
+	}
+
 	// SDT lower bounds for this round's freshly admitted orders, on the
-	// shard's own bounded distance cache (values depend only on the static
-	// true graph and the order's placement time, so computing them here —
-	// in parallel, per shard — is exact).
-	if s.sdtSlot != e.slot {
-		s.sdtSlot = e.slot
-		s.sdt.Reset()
+	// true graph's bounded rows: the shard's own SDT cache, or its router
+	// when that router serves exactly those rows (values depend only on the
+	// static true graph and the order's placement time, so computing them
+	// here — in parallel, per shard — is exact).
+	var sdt roadnet.Router = s.router
+	if s.sdt != nil {
+		sdt = s.sdt
 	}
 	// Group same-(restaurant, slot) orders so each group's SDTs resolve
 	// through one batched row read. Values are identical to per-order point
@@ -674,13 +675,13 @@ func (e *Engine) shardPhase1(s *shardState, advWorkers int, t0, t1 float64, resh
 			j++
 		}
 		if j-i == 1 {
-			o.SDT = o.Prep + s.sdt.Travel(o.Restaurant, o.Customer, o.PlacedAt)
+			o.SDT = o.Prep + sdt.Travel(o.Restaurant, o.Customer, o.PlacedAt)
 		} else {
 			s.sdtTargets = s.sdtTargets[:0]
 			for _, q := range s.sdtOrders[i:j] {
 				s.sdtTargets = append(s.sdtTargets, q.Customer)
 			}
-			d := s.sdt.TravelMany(o.Restaurant, s.sdtTargets, o.PlacedAt)
+			d := roadnet.TravelMany(sdt, o.Restaurant, s.sdtTargets, o.PlacedAt)
 			for k, q := range s.sdtOrders[i:j] {
 				q.SDT = q.Prep + d[k]
 			}
@@ -974,22 +975,22 @@ func (e *Engine) partitionOrders(orders []*model.Order, work []shardWork) int {
 // the new sharder, and admissions/replans route through shardOf from here
 // on. Movers, DistCaches, routers and policy instances are zone-scoped (the
 // zone's *meaning* changes, the instance stays), so they move with the
-// shard slot; the caller warms the distance caches for the new zone
-// geometry. Returns whether a re-split executed, how many vehicles changed
-// zones, and the wall-clock cost.
-func (e *Engine) maybeResplit(now float64) (bool, int, float64) {
+// shard slot; the match phase builds the rows the new zones need. Returns
+// how many vehicles changed zones and the wall-clock cost (both 0 when no
+// re-split executed).
+func (e *Engine) maybeResplit(now float64) (int, float64) {
 	if e.cfg.ResplitSec <= 0 || len(e.shards) < 2 {
-		return false, 0, 0
+		return 0, 0
 	}
 	if now-e.lastResplitT < e.cfg.ResplitSec {
-		return false, 0, 0
+		return 0, 0
 	}
 	// Too little signal to beat the node-balanced prior: skip the churn and
 	// wait out a full cadence period (mirrors maybeRefreshWeights's
 	// quiet-period handling).
 	if e.demandTotal < int64(4*len(e.shards)) {
 		e.lastResplitT = now
-		return false, 0, 0
+		return 0, 0
 	}
 	e.phase("resplit")
 	t0 := time.Now()
@@ -1016,7 +1017,7 @@ func (e *Engine) maybeResplit(now float64) (bool, int, float64) {
 	if e.eo != nil {
 		e.eo.gShardEpoch.Set(float64(e.shardEpoch.Load()))
 	}
-	return true, moves, time.Since(t0).Seconds()
+	return moves, time.Since(t0).Seconds()
 }
 
 // demandWeights converts a per-node demand vector into KD split weights:
@@ -1061,38 +1062,6 @@ func (e *Engine) rehomeAll() int {
 		s.vehLen.Store(int64(len(s.motions)))
 	}
 	return moves
-}
-
-// warmShards pre-builds the distance rows freshly re-split zones will need:
-// one bounded SSSP per distinct restaurant in each zone's order partition,
-// on both the zone's SDT admission cache and its router's memoised backend,
-// in parallel across shards before the match phase reads them. Warming is
-// pure cache fill — rows are exact, so no decision can change; the slot
-// reset below replicates exactly what the match goroutine (router) and next
-// round's phase 1 (SDT) would do, so the warmed rows are not dropped later.
-func (e *Engine) warmShards(work []shardWork, now float64) {
-	e.forEachShard(e.cfg.Workers > 1, func(s *shardState) {
-		if s.sdtSlot != e.slot {
-			s.sdtSlot = e.slot
-			s.sdt.Reset()
-		}
-		_, router := s.router.Acquire()
-		if s.slot != e.slot {
-			s.slot = e.slot
-			if r, ok := router.(roadnet.Resettable); ok {
-				r.Reset()
-			}
-		}
-		seen := make(map[roadnet.NodeID]bool, len(work[s.id].orders))
-		for _, o := range work[s.id].orders {
-			if seen[o.Restaurant] {
-				continue
-			}
-			seen[o.Restaurant] = true
-			s.sdt.Row(o.Restaurant, now)
-			router.Travel(o.Restaurant, o.Restaurant, now)
-		}
-	})
 }
 
 // pressure scores a zone's load for the handoff rule: queued orders per

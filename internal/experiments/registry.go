@@ -67,18 +67,3 @@ func Generate(id string, st Setup) ([]*Table, error) {
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q (available: %s)", id, strings.Join(IDs(), ", "))
 }
-
-// GenerateAll runs every experiment group, invoking sink after each so
-// long runs stream output.
-func GenerateAll(st Setup, sink func(*Table)) error {
-	for _, id := range IDs() {
-		tables, err := registry[id](st)
-		if err != nil {
-			return fmt.Errorf("experiment %s: %w", id, err)
-		}
-		for _, t := range tables {
-			sink(t)
-		}
-	}
-	return nil
-}

@@ -158,9 +158,6 @@ func (g *Graph) EdgeTimeSlot(e Edge, slot int) float64 {
 // the normalising denominator of the vehicle-sensitive weight (Eq. 8).
 func (g *Graph) MaxBeta(t float64) float64 { return g.maxBeta[Slot(t)] }
 
-// NumZones returns the number of congestion zones.
-func (g *Graph) NumZones() int { return len(g.zoneMult) }
-
 // ZoneMultiplier returns the congestion multiplier for a zone and slot.
 func (g *Graph) ZoneMultiplier(zone uint32, slot int) float64 {
 	return g.zoneMult[zone][slot]

@@ -453,9 +453,6 @@ func (l *Log) Segments() int {
 	return len(l.segs)
 }
 
-// Dir returns the log's root directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Close flushes, fsyncs and closes the active segment. Further appends
 // fail; the directory can be re-Opened.
 func (l *Log) Close() error {

@@ -137,15 +137,6 @@ func Generate(p CityParams) (*City, error) {
 	return c, nil
 }
 
-// MustGenerate panics on error; for presets with known-valid parameters.
-func MustGenerate(p CityParams) *City {
-	c, err := Generate(p)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // buildGraph lays out the perturbed grid with arterials, one-way diagonal
 // shortcuts and congestion zones.
 func (c *City) buildGraph(rng *rand.Rand) error {
