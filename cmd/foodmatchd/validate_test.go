@@ -16,6 +16,7 @@ import (
 // tests (city generation dominates otherwise).
 type testHarness struct {
 	city    *foodmatch.City
+	fleet   []*foodmatch.Vehicle
 	eng     *foodmatch.Engine
 	learner *foodmatch.StreamLearner
 	srv     *Server
@@ -42,7 +43,7 @@ func getHarness(t testing.TB) *testHarness {
 			t.Fatal(err)
 		}
 		harness = &testHarness{
-			city: city, eng: eng, learner: learner,
+			city: city, fleet: fleet, eng: eng, learner: learner,
 			srv: NewServer(eng, city, ServerOptions{Learner: learner, Scenario: "rain:1.3"}),
 		}
 	})
@@ -87,7 +88,7 @@ func TestOrderValidation(t *testing.T) {
 
 func TestPingValidation(t *testing.T) {
 	h := getHarness(t)
-	vid := h.eng.VehicleIDs()[0]
+	vid := h.fleet[0].ID
 	path := fmt.Sprintf("/vehicles/%d/ping", vid)
 	bad := []string{
 		`{"at":{"lat":1e999,"lon":77.5}}`, // decoder rejects overflow

@@ -26,10 +26,11 @@
 //	metrics := sim.Run(18*3600, 22*3600) // dinner peak
 //	fmt.Println(metrics.Summary())
 //
-// The assignment round decomposes into four swappable stages — Batcher,
-// GraphSparsifier, Reshuffler, Matcher — composed with NewPipeline, and
-// every stage consumes network distances through one injected Router
-// (Dijkstra, bounded SSSP, hub labels, or CCH):
+// The assignment round decomposes into four stages — batching, FoodGraph
+// sparsification, reshuffling, matching — composed with NewPipeline (the
+// facade swaps the Batcher and the Matcher), and every stage consumes
+// network distances through one injected Router (Dijkstra, bounded SSSP,
+// hub labels, or CCH):
 //
 //	pol := foodmatch.NewPipeline(
 //		foodmatch.WithBatcher(foodmatch.NewGreedyBatcher(0)),
@@ -85,8 +86,6 @@ type (
 	Batch = model.Batch
 	// Graph is a time-dependent road network (Definition 1).
 	Graph = roadnet.Graph
-	// GraphBuilder constructs road networks.
-	GraphBuilder = roadnet.Builder
 	// NodeID identifies a road-network node.
 	NodeID = roadnet.NodeID
 	// Point is a WGS-84 coordinate.
@@ -160,16 +159,6 @@ func NewObsLog(w io.Writer) *ObsLog { return experiments.NewObsLog(w) }
 // NewFoodMatch returns the full FOODMATCH policy (Section IV).
 func NewFoodMatch() Policy { return policy.NewFoodMatch() }
 
-// NewGreedy returns the Greedy baseline (Section III).
-func NewGreedy() Policy { return policy.NewGreedy() }
-
-// NewReyes returns the Reyes et al. [5] baseline.
-func NewReyes() Policy { return policy.NewReyes() }
-
-// NewVanillaKM returns plain Kuhn–Munkres matching with every FOODMATCH
-// optimisation disabled. Pair it with ConfigureVanillaKM(cfg).
-func NewVanillaKM() Policy { return policy.NewVanillaKM() }
-
 // ConfigureVanillaKM flips every optimisation switch off, in place.
 func ConfigureVanillaKM(cfg *Config) *Config { return policy.ConfigureVanillaKM(cfg) }
 
@@ -177,8 +166,8 @@ func ConfigureVanillaKM(cfg *Config) *Config { return policy.ConfigureVanillaKM(
 func PolicyByName(name string) (Policy, error) { return experiments.PolicyByName(name) }
 
 // Composable pipeline re-exports: the stage interfaces behind the canned
-// policies, so callers can mix stages (e.g. greedy batching + KM matching,
-// or a custom sparsifier) without forking internals. See internal/pipeline.
+// policies, so callers can mix stages (e.g. greedy batching + KM matching)
+// without forking internals. See internal/pipeline.
 type (
 	// Pipeline is a composed assignment policy (batch → sparsify →
 	// reshuffle → match); it implements Policy.
@@ -190,10 +179,6 @@ type (
 	PipelineStats = pipeline.Stats
 	// Batcher groups O(ℓ) into batches (stage 1).
 	Batcher = pipeline.Batcher
-	// GraphSparsifier constructs the batch×vehicle cost graph (stage 2).
-	GraphSparsifier = pipeline.GraphSparsifier
-	// Reshuffler adjusts edge weights with incumbent information (stage 3).
-	Reshuffler = pipeline.Reshuffler
 	// Matcher turns the graph into assignments (stage 4).
 	Matcher = pipeline.Matcher
 )
@@ -214,32 +199,8 @@ func WithLabel(label string) PipelineOption { return pipeline.WithLabel(label) }
 // WithBatcher swaps stage 1.
 func WithBatcher(b Batcher) PipelineOption { return pipeline.WithBatcher(b) }
 
-// WithSparsifier swaps stage 2; nil skips graph construction (for matchers
-// that compute their own costs, e.g. the greedy matcher).
-func WithSparsifier(s GraphSparsifier) PipelineOption { return pipeline.WithSparsifier(s) }
-
-// WithReshuffler swaps stage 3; nil disables reshuffling.
-func WithReshuffler(r Reshuffler) PipelineOption { return pipeline.WithReshuffler(r) }
-
 // WithMatcher swaps stage 4.
 func WithMatcher(m Matcher) PipelineOption { return pipeline.WithMatcher(m) }
-
-// WithSingleOrderWhen installs the single-order-mode predicate (nil =
-// capacity-based availability always).
-func WithSingleOrderWhen(f func(*Config) bool) PipelineOption {
-	return pipeline.WithSingleOrderWhen(f)
-}
-
-// NewClusterBatcher returns the paper's Algorithm 1 batcher (iterative
-// clustering; degrades to singletons when cfg.Batching is off).
-func NewClusterBatcher() Batcher { return pipeline.ClusterBatcher{} }
-
-// NewSingletonBatcher returns the one-order-per-batch batcher.
-func NewSingletonBatcher() Batcher { return pipeline.SingletonBatcher{} }
-
-// NewSameRestaurantBatcher returns the Reyes-style batcher (orders may
-// share a batch only when they come from the same restaurant).
-func NewSameRestaurantBatcher() Batcher { return pipeline.SameRestaurantBatcher{} }
 
 // NewGreedyBatcher returns the nearest-neighbour greedy batcher;
 // radiusSec caps restaurant-to-restaurant joins (0 = config BatchRadius).
@@ -247,33 +208,8 @@ func NewGreedyBatcher(radiusSec float64) Batcher {
 	return pipeline.GreedyBatcher{RadiusSec: radiusSec}
 }
 
-// NewBestFirstSparsifier returns the paper's Algorithm 2 FoodGraph
-// construction (honours every Config ablation switch).
-func NewBestFirstSparsifier() GraphSparsifier { return pipeline.BestFirstSparsifier{} }
-
-// NewHaversineSparsifier returns the Reyes straight-line cost model;
-// speedMS is the assumed travel speed (0 = 8.33 m/s). It attaches no route
-// plans, so pair it with NewReyesMatcher — the plain KM matcher drops
-// plan-less edges and would assign nothing.
-func NewHaversineSparsifier(speedMS float64) GraphSparsifier {
-	return pipeline.HaversineSparsifier{SpeedMS: speedMS}
-}
-
-// NewReyesMatcher returns the Kuhn–Munkres-then-replan matcher: matches on
-// whatever costs the sparsifier produced, then rebuilds each matched
-// batch's plan on the true road network (the matcher the Reyes baseline
-// needs, since its Haversine graph carries no executable plans).
-func NewReyesMatcher() Matcher { return pipeline.ReyesMatcher{} }
-
-// NewIncumbentReshuffler returns the Section IV-D2 weight adjuster.
-func NewIncumbentReshuffler() Reshuffler { return pipeline.IncumbentReshuffler{} }
-
 // NewKMMatcher returns the Kuhn–Munkres matcher over the constructed graph.
 func NewKMMatcher() Matcher { return &pipeline.KMMatcher{} }
-
-// NewGreedyMatcher returns the Section III iterative minimum-marginal-cost
-// matcher (computes its own costs; pair with WithSparsifier(nil)).
-func NewGreedyMatcher() Matcher { return pipeline.GreedyMatcher{} }
 
 // Router backends. NewHubLabels' index implements Router directly (exact
 // hub-label distances).
@@ -351,50 +287,14 @@ type (
 	// ProtocolOptions tunes the learn5test1 driver (city, policies,
 	// scenarios, learning days, SLA threshold).
 	ProtocolOptions = experiments.ProtocolOptions
-	// ProtocolRun is one (scenario, policy) protocol outcome: test-day
-	// metrics under the stale/learned/oracle weight regimes.
-	ProtocolRun = experiments.ProtocolRun
-	// ProtocolRegime indexes ProtocolRun.Metrics.
-	ProtocolRegime = experiments.ProtocolRegime
-	// DayPlan describes one day of a multi-day replay.
-	DayPlan = workload.DayPlan
-	// DaySchedule is a deterministic multi-day replay plan.
-	DaySchedule = workload.DaySchedule
 )
 
-// The test-day weight regimes.
-const (
-	RegimeStale   = experiments.RegimeStale
-	RegimeLearned = experiments.RegimeLearned
-	RegimeOracle  = experiments.RegimeOracle
-)
-
-// RunLearn5Test1 executes the multi-day protocol and returns the structured
-// per-cell results: weights are learned over the schedule's learning days
-// (fleet churn and scenario-coupled demand surges included), exported to
-// their JSON checkpoint form, re-imported, and the held-out test day is
-// replayed once per policy per weight regime.
-func RunLearn5Test1(st ExperimentSetup, opt ProtocolOptions) ([]*ProtocolRun, error) {
-	return experiments.RunLearn5Test1(st, opt)
-}
-
-// RunLearn5Test1Tables is RunLearn5Test1 rendered as one table per scenario
-// (XDT per regime, SLA violations, recovery ratio).
+// RunLearn5Test1Tables executes the multi-day protocol — weights learned
+// over the learning days, the held-out test day replayed once per policy
+// under the stale, learned and oracle weight regimes — and renders one
+// table per scenario (XDT per regime, SLA violations, recovery ratio).
 func RunLearn5Test1Tables(st ExperimentSetup, opt ProtocolOptions) ([]*ExperimentTable, error) {
 	return experiments.Learn5Test1(st, opt)
-}
-
-// NewDaySchedule builds the canonical learnN+test1 schedule: learnDays
-// learning days plus one held-out test day under one scenario, per-day
-// order/fleet seeds derived from seed.
-func NewDaySchedule(c *City, sc Scenario, learnDays int, seed int64) DaySchedule {
-	return workload.Learn5Test1(c, sc, learnDays, seed)
-}
-
-// ReadSlotWeights loads a weight table serialised with SlotWeights.WriteJSON
-// (validated cell by cell).
-func ReadSlotWeights(r io.Reader) (*SlotWeights, error) {
-	return roadnet.ReadSlotWeightsJSON(r)
 }
 
 // NewHubLabelRouter returns an EngineConfig.NewRouter factory for the
@@ -474,15 +374,6 @@ type (
 	EngineCheckpoint = engine.Checkpoint
 )
 
-// WAL record kinds (WALRecord.Kind).
-const (
-	WALKindOrder = wal.KindOrder
-	WALKindPing  = wal.KindPing
-)
-
-// ErrEngineUsed reports a restore attempted on an engine that already ran.
-var ErrEngineUsed = engine.ErrEngineUsed
-
 // NewObsRegistry returns an empty observability registry — pass it as
 // EngineConfig.Obs to share one exposition surface between the engine and
 // other instrumented components (foodmatchd adds its WAL counters to the
@@ -551,9 +442,6 @@ type (
 	EngineRoadnetStatus = engine.RoadnetStatus
 )
 
-// NewSlotWeights returns an empty learned-weight table.
-func NewSlotWeights() *SlotWeights { return roadnet.NewSlotWeights() }
-
 // NewSwapRouter returns an epoch-versioned Router over the base graph; each
 // published epoch gets an inner backend from newRouter.
 func NewSwapRouter(base *Graph, newRouter func(*Graph) Router) *SwapRouter {
@@ -565,12 +453,6 @@ func NewSwapRouter(base *Graph, newRouter func(*Graph) Router) *SwapRouter {
 func NewStreamLearner(g *Graph, opt StreamLearnerOptions) *StreamLearner {
 	return gps.NewStreamLearner(g, opt)
 }
-
-// RainScenario returns a uniform all-day slowdown scenario.
-func RainScenario(mult float64) Scenario { return workload.Rain(mult) }
-
-// DinnerRushScenario slows the 18:00–22:00 window by factor.
-func DinnerRushScenario(factor float64) Scenario { return workload.DinnerRush(factor) }
 
 // ParseScenario parses "none", "rain:<mult>", "rush:<factor>" or a
 // comma-joined combination.

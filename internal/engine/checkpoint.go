@@ -131,7 +131,8 @@ type CheckpointVehicle struct {
 // ledgers here and restored into shard 0's ledger — totals are exact, the
 // per-shard split is not (shard counts may even differ across the restart).
 // Restore carries totals only: the ledger's per-slot and per-load series
-// restart at zero.
+// restart at zero. Ingested and PingsIngested leave out records still queued
+// at the cut: ReplayWAL re-applies and re-counts exactly those.
 type CheckpointCounters struct {
 	Ingested      int64 `json:"ingested"`
 	Admitted      int64 `json:"admitted"`
@@ -228,11 +229,18 @@ func (e *Engine) CheckpointState() *Checkpoint {
 	st := e.stats
 	e.statMu.Unlock()
 	tc := &e.totals
+	// Queued records are not in the cut. On the WAL path every accept
+	// counts itself inside walMu, so the totals and the queue lengths read
+	// here are one cut; without a WAL queued records die with the process.
+	e.walMu.Lock()
+	ingested := tc.ingested.Value() - int64(len(e.orderCh))
+	pingsIngested := tc.pingsIngested.Value() - int64(len(e.pingCh))
+	e.walMu.Unlock()
 	c.Counters = CheckpointCounters{
-		Ingested:      tc.ingested.Value(),
+		Ingested:      ingested,
 		Admitted:      tc.admitted.Value(),
 		ShedOrders:    tc.shedOrders.Value(),
-		PingsIngested: tc.pingsIngested.Value(),
+		PingsIngested: pingsIngested,
 		ShedPings:     tc.shedPings.Value(),
 		Assigned:      tc.assigned.Value(),
 		Reassigned:    tc.reassigned.Value(),
@@ -701,7 +709,7 @@ func (e *Engine) RestoreCheckpoint(c *Checkpoint) error {
 			e.dyn.epoch = c.Epoch
 		}
 		if c.Learner != nil {
-			e.publishWeightsLocked(e.clock, true)
+			e.publishWeightsLocked(e.clock)
 		}
 		e.dyn.mu.Unlock()
 	}

@@ -1,59 +1,49 @@
 package engine
 
 import (
-	"bytes"
 	"errors"
 	"math"
-	"strings"
+	"reflect"
 	"testing"
 
 	"repro/internal/gps"
 	"repro/internal/roadnet"
 )
 
-// TestEngineWeightCheckpointRestore pins the engine's weight persistence
-// loop: learn, checkpoint, restore into a fresh engine, and the restored
-// engine both serves a published epoch immediately and re-exports an
-// identical checkpoint.
+// TestEngineWeightCheckpointRestore pins multi-day weight persistence: day
+// 1's learner state, restored into day 2's learner before the engine is
+// built, reaches every shard on day 2's first round — and a restore whose
+// cells all sit below the MinSamples floor publishes nothing.
 func TestEngineWeightCheckpointRestore(t *testing.T) {
 	city := testCityB
-	fleet := city.Fleet(0.2, 3, 1)
-
-	learner := gps.NewStreamLearner(city.G, gps.StreamOptions{})
-	day1, err := New(city.G, fleet, Config{Pipeline: testConfig(), Learner: learner, MinSamples: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	day1 := gps.NewStreamLearner(city.G, gps.StreamOptions{})
 	e0 := city.G.OutEdges(0)[0]
 	e1 := city.G.OutEdges(1)[0]
-	learner.ObserveEdge(0, e0.To, 19*3600, 111)
-	learner.ObserveEdge(0, e0.To, 19*3600+60, 129)
-	learner.ObserveEdge(1, e1.To, 86390, 55) // slot 23, just before midnight
+	day1.ObserveEdge(0, e0.To, 19*3600, 111)
+	day1.ObserveEdge(0, e0.To, 19*3600+60, 129)
+	day1.ObserveEdge(1, e1.To, 86390, 55) // slot 23, just before midnight
+	saved := day1.State()
+	if len(saved.Cells) == 0 {
+		t.Fatal("empty learner state")
+	}
 
-	var ckpt bytes.Buffer
-	if err := day1.CheckpointWeights(&ckpt); err != nil {
+	day2 := gps.NewStreamLearner(city.G, gps.StreamOptions{})
+	if err := day2.RestoreState(saved); err != nil {
 		t.Fatal(err)
 	}
-	saved := ckpt.String()
-	if saved == "" {
-		t.Fatal("empty checkpoint")
+	if got := day2.State(); !reflect.DeepEqual(got, saved) {
+		t.Fatalf("restored learner state differs:\n%+v\nvs\n%+v", got, saved)
 	}
-
-	fresh := gps.NewStreamLearner(city.G, gps.StreamOptions{})
-	day2, err := New(city.G, city.Fleet(0.2, 3, 2), Config{Pipeline: testConfig(), Learner: fresh, MinSamples: 1})
+	e, err := New(city.G, city.Fleet(0.2, 3, 2), Config{Pipeline: testConfig(), Shards: 2, Learner: day2, MinSamples: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch, published, err := day2.RestoreWeights(strings.NewReader(saved))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != 1 || !published {
-		t.Fatalf("restore published epoch %d (%v), want 1 (true)", epoch, published)
+	if st := e.Step(19 * 3600); st.Epoch != 1 {
+		t.Fatalf("day 2's first round serves epoch %d, want 1", st.Epoch)
 	}
 	// Every shard serves the restored knowledge: the learned mean of the
 	// slot-19 cell, and the slot-23 cell written just before midnight.
-	for _, sr := range day2.shards {
+	for _, sr := range e.shards {
 		snap, _ := sr.router.Acquire()
 		if snap.Epoch != 1 {
 			t.Fatalf("shard %d serves epoch %d after restore", sr.id, snap.Epoch)
@@ -66,89 +56,82 @@ func TestEngineWeightCheckpointRestore(t *testing.T) {
 			t.Fatalf("restored slot-23 cell serves %v, want 55", got)
 		}
 	}
-	// The restored learner checkpoints back to identical bytes.
-	var again bytes.Buffer
-	if err := day2.CheckpointWeights(&again); err != nil {
-		t.Fatal(err)
-	}
-	if again.String() != saved {
-		t.Fatalf("checkpoint round trip not byte-stable:\n%s\nvs\n%s", again.String(), saved)
-	}
 
-	// A checkpoint whose cells are all below the MinSamples floor restores
-	// the learner but publishes nothing — and says so.
+	// Restored cells all below the MinSamples floor: the learner keeps
+	// them, the engine publishes nothing.
 	sparse := gps.NewStreamLearner(city.G, gps.StreamOptions{})
-	day3, err := New(city.G, city.Fleet(0.2, 3, 3), Config{Pipeline: testConfig(), Learner: sparse, MinSamples: 5})
+	if err := sparse.RestoreState(saved); err != nil {
+		t.Fatal(err)
+	}
+	e3, err := New(city.G, city.Fleet(0.2, 3, 3), Config{Pipeline: testConfig(), Learner: sparse, MinSamples: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch, published, err = day3.RestoreWeights(strings.NewReader(saved))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if published || epoch != 0 {
-		t.Fatalf("sparse restore claims a publish (epoch %d, %v)", epoch, published)
+	e3.Step(19 * 3600)
+	if st := e3.Roadnet(); st.Epoch != 0 || st.Publishes != 0 {
+		t.Fatalf("below-floor restore published: %+v", st)
 	}
 }
 
 // TestEngineImportWeights covers the bootstrap path: an externally learned
-// table becomes a served epoch without touching the learner.
+// table, applied to the decision graph, is what epoch 0 serves — without
+// touching the learner.
 func TestEngineImportWeights(t *testing.T) {
 	city := testCityB
-	fleet := city.Fleet(0.2, 3, 1)
-	learner := gps.NewStreamLearner(city.G, gps.StreamOptions{})
-	e, err := New(city.G, fleet, Config{Pipeline: testConfig(), Learner: learner, MinSamples: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := e.ImportWeights(roadnet.NewSlotWeights()); err == nil {
-		t.Fatal("empty table imported")
-	}
-
 	w := roadnet.NewSlotWeights()
 	e0 := city.G.OutEdges(0)[0]
 	if err := w.Set(0, e0.To, 20, 321); err != nil {
 		t.Fatal(err)
 	}
-	epoch, err := e.ImportWeights(w)
+	learner := gps.NewStreamLearner(city.G, gps.StreamOptions{})
+	e, err := New(city.G, city.Fleet(0.2, 3, 1), Config{
+		Pipeline: testConfig(), Shards: 2,
+		DecisionGraph: city.G.Reweighted(w), Learner: learner, MinSamples: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch != 1 {
-		t.Fatalf("import published epoch %d, want 1", epoch)
-	}
+	e.Step(20 * 3600)
 	for _, sr := range e.shards {
 		snap, _ := sr.router.Acquire()
+		if snap.Epoch != 0 {
+			t.Fatalf("shard %d serves epoch %d, want 0", sr.id, snap.Epoch)
+		}
 		if got := snap.Graph.EdgeTimeSlot(snap.Graph.OutEdges(0)[0], 20); math.Abs(got-321) > 1e-9 {
 			t.Fatalf("imported cell serves %v, want 321", got)
 		}
 	}
-	if st := e.Roadnet(); st.Epoch != 1 || st.LearnedCells != 1 || st.Publishes != 1 {
-		t.Fatalf("roadnet status after import: %+v", st)
+	if st := e.Roadnet(); st.Epoch != 0 || st.Publishes != 0 {
+		t.Fatalf("roadnet status after bootstrap: %+v", st)
 	}
-	// The learner stayed untouched.
 	if learner.Weights(1).Cells() != 0 {
-		t.Fatal("import leaked into the learner")
+		t.Fatal("bootstrap leaked into the learner")
 	}
 }
 
 // TestCheckpointHooksStaticEngine pins the error contract on engines
-// without a dynamic plane.
+// without a dynamic plane: a checkpoint carrying learner state is refused.
 func TestCheckpointHooksStaticEngine(t *testing.T) {
 	city := testCityB
-	e, err := New(city.G, city.Fleet(0.2, 3, 1), Config{Pipeline: testConfig()})
+	learner := gps.NewStreamLearner(city.G, gps.StreamOptions{})
+	learner.ObserveEdge(0, city.G.OutEdges(0)[0].To, 12*3600, 40)
+	dyn, err := New(city.G, city.Fleet(0.2, 3, 1), Config{Pipeline: testConfig(), Learner: learner})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := e.CheckpointWeights(&buf); !errors.Is(err, ErrStaticRoadnet) {
-		t.Fatalf("checkpoint on static engine: %v", err)
+	doc := dyn.CheckpointState()
+	if doc.Learner == nil {
+		t.Fatal("dynamic checkpoint carries no learner state")
 	}
-	if _, _, err := e.RestoreWeights(strings.NewReader("{}")); !errors.Is(err, ErrStaticRoadnet) {
-		t.Fatalf("restore on static engine: %v", err)
+
+	static, err := New(city.G, city.Fleet(0.2, 3, 1), Config{Pipeline: testConfig()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := e.ImportWeights(roadnet.NewSlotWeights()); !errors.Is(err, ErrStaticRoadnet) {
-		t.Fatalf("import on static engine: %v", err)
+	if err := static.RestoreCheckpoint(doc); !errors.Is(err, ErrStaticRoadnet) {
+		t.Fatalf("learner checkpoint into static engine: %v", err)
+	}
+	if doc := static.CheckpointState(); doc.Learner != nil || doc.Epoch != 0 {
+		t.Fatalf("static checkpoint carries learner state: epoch %d", doc.Epoch)
 	}
 }

@@ -535,6 +535,72 @@ func TestReplayWALIdempotent(t *testing.T) {
 	}
 }
 
+// TestReplayCountsEachOrderOnce pins the ingested totals across a restart:
+// a checkpoint cut while accepted records still sit in the queue leaves them
+// out of its totals, because ReplayWAL re-applies and re-counts exactly
+// those. Five orders and two pings before the cut, three orders and one ping
+// after it: the restored engine reads 8 and 3, on Snapshot and the registry.
+func TestReplayCountsEachOrderOnce(t *testing.T) {
+	city := testCityB
+	fleet := city.Fleet(0.2, testConfig().MaxO, 1)
+	dir := t.TempDir()
+	wlog, _, err := wal.Open(dir, wal.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(city.G, fleet, Config{Pipeline: testConfig(), WAL: wlog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := e.SubmitOrder(&model.Order{
+				ID: model.OrderID(i), Restaurant: 10, Customer: 500,
+				PlacedAt: 65_000 + float64(i), Items: 1, Prep: 300, AssignedTo: -1,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ping := func(v *model.Vehicle) {
+		if err := e.PingVehicle(v.ID, v.Node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit(1, 6)
+	ping(fleet[0])
+	ping(fleet[1])
+	var buf bytes.Buffer
+	if _, err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	submit(6, 9)
+	ping(fleet[2])
+
+	doc, err := ReadCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := wal.Open(dir, wal.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, err := New(city.G, city.Fleet(0.2, testConfig().MaxO, 1), Config{Pipeline: testConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.RestoreCheckpoint(doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e2.ReplayWAL(recs); err != nil {
+		t.Fatal(err)
+	}
+	if m := e2.Snapshot(); m.OrdersIngested != 8 || m.PingsIngested != 3 {
+		t.Fatalf("restored engine counts %d orders and %d pings ingested, want 8 and 3", m.OrdersIngested, m.PingsIngested)
+	}
+	assertBooksAgree(t, e2)
+}
+
 // TestRestoreCheckpointGuards pins the restore preconditions: version
 // mismatches, used engines, fleet mismatches and dangling references are
 // rejected with the document untouched.

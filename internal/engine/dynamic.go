@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"io"
 	"math"
 	"sync"
 	"time"
@@ -11,16 +10,17 @@ import (
 	"repro/internal/roadnet"
 )
 
-// ErrStaticRoadnet is returned by the weight checkpoint hooks when the
-// engine runs without a learner (no dynamic plane to checkpoint or restore).
+// ErrStaticRoadnet is returned by RestoreCheckpoint when the checkpoint
+// carries learner state but the engine runs without a learner.
 var ErrStaticRoadnet = errors.New("engine: static road network (no learner configured)")
 
 // dynamicState is the engine side of the live traffic plane: bookkeeping
 // for the periodic weight publishes that turn the streaming learner's
-// estimates into router epochs. Guarded by its own mutex so a forced
-// RefreshWeights never has to wait out a round holding the world lock —
-// that is what makes genuinely mid-round epoch swaps possible (and safe:
-// shard rounds pin their epoch via SwapRouter.Acquire).
+// estimates into router epochs. Epochs are minted only under roundMu — at
+// the round's handoff barrier and by RestoreCheckpoint — so a round's
+// shards always see the epoch its barrier left; the mutex lets the metrics
+// plane (Snapshot, Roadnet, CheckpointState) read it without waiting out a
+// round.
 type dynamicState struct {
 	learner    *gps.StreamLearner
 	refresh    float64
@@ -32,22 +32,16 @@ type dynamicState struct {
 	learnedEdges int
 	learnedCells int
 	// lastGraph / lastW anchor the incremental publish chain: the graph of
-	// the newest learner-built epoch and the cumulative SlotWeights table
-	// it serves. Nil means the chain is broken (nothing published yet, or
-	// an external ImportWeights replaced the table wholesale) and the next
-	// learner publish must be a full rebuild.
+	// the newest epoch and the cumulative SlotWeights table it serves. Nil
+	// until the first publish, which must be a full rebuild.
 	lastGraph *roadnet.Graph
 	lastW     *roadnet.SlotWeights
 }
 
 // maybeRefreshWeights publishes a new weight epoch when the refresh period
-// has elapsed; called once per round with the round clock. A due refresh
-// with nothing learned since the last publish (the dirty set is empty) is
-// skipped outright — minting a weight-identical epoch would only force
-// every shard to rebuild its router caches for zero change. Forced
-// RefreshWeights calls keep the publish-regardless contract. Returns the
-// publish's wall-clock cost (0 when nothing was published) — the handoff
-// barrier's "publish" span child.
+// has elapsed; called once per round with the round clock, under roundMu.
+// Returns the publish's wall-clock cost (0 when nothing was published) —
+// the handoff barrier's "publish" span child.
 func (e *Engine) maybeRefreshWeights(now float64) float64 {
 	if e.dyn == nil {
 		return 0
@@ -57,53 +51,26 @@ func (e *Engine) maybeRefreshWeights(now float64) float64 {
 	if now-e.dyn.lastT < e.dyn.refresh {
 		return 0
 	}
-	if e.dyn.lastGraph != nil && e.dyn.learner.DirtyCells() == 0 {
-		e.dyn.lastT = now // quiet period: try again a full period later
-		return 0
-	}
 	start := time.Now()
-	before := e.dyn.epoch
-	e.publishWeightsLocked(now, true)
-	if e.dyn.epoch == before {
+	if !e.publishWeightsLocked(now) {
 		return 0
 	}
 	return time.Since(start).Seconds()
 }
 
-// RefreshWeights forces an immediate weight publish at the current engine
-// clock, regardless of the refresh period. It returns the served epoch and
-// whether a *new* epoch was published (false when the engine is static or
-// the learner has no cells above MinSamples yet). Safe to call from any
-// goroutine, including concurrently with running rounds: shard queries keep
-// hitting their pinned epoch until the next round acquires the new one.
-func (e *Engine) RefreshWeights() (uint64, bool) {
-	if e.dyn == nil {
-		return 0, false
-	}
-	e.dyn.mu.Lock()
-	defer e.dyn.mu.Unlock()
-	before := e.dyn.epoch
-	after := e.publishWeightsLocked(math.Float64frombits(e.clockBits.Load()), false)
-	return after, after > before
-}
-
 // publishWeightsLocked materialises the learner's current estimates over
 // the decision graph and swaps every zone shard onto the new epoch. Called
-// with dyn.mu held. Returns the served epoch; publishing is skipped while
-// the learner has nothing above the sample floor.
+// with roundMu and dyn.mu held. Reports whether an epoch was published:
+// nothing is while the learner has no cell above the sample floor, nor
+// when the epoch would be weight-identical to the served one — routers
+// should not cold-rebuild for zero change.
 //
-// Only the first learner epoch (or the first after an external import broke
-// the chain) pays a full O(|E|·slots) Reweighted. Every later publish takes
-// the learner's dirty set — the cells touched since the previous publish —
-// and patches the previous epoch's graph, copying only the touched slot
-// rows and sharing everything else, so steady-state publish cost scales
-// with how much the city actually changed.
-//
-// skipIdentity declines to mint an epoch whose weights would be identical
-// to the served one (periodic refreshes pass true — routers should not
-// cold-rebuild for zero change); forced RefreshWeights passes false and
-// publishes regardless.
-func (e *Engine) publishWeightsLocked(now float64, skipIdentity bool) uint64 {
+// Only the first epoch pays a full O(|E|·slots) Reweighted. Every later
+// publish takes the learner's dirty set — the cells touched since the
+// previous publish — and patches the previous epoch's graph, copying only
+// the touched slot rows and sharing everything else, so steady-state
+// publish cost scales with how much the city actually changed.
+func (e *Engine) publishWeightsLocked(now float64) bool {
 	d := e.dyn
 	d.lastT = now
 	start := time.Now()
@@ -113,34 +80,18 @@ func (e *Engine) publishWeightsLocked(now float64, skipIdentity bool) uint64 {
 		patched bool
 		dirtyN  int
 	)
-	if d.lastGraph == nil {
-		// (Re)start the chain: full table, full rebuild.
-		w := d.learner.WeightsFull(d.minSamples)
-		if w.Cells() == 0 {
-			return d.epoch
-		}
-		g2 = e.decG.Reweighted(w)
-		d.lastW = w
-	} else {
+	if d.lastGraph != nil {
 		delta, dirty := d.learner.WeightsDirty(d.minSamples)
 		dirtyN = dirty.Cells()
-		if skipIdentity && (dirtyN == 0 || deltaMatchesPublished(delta, dirty, d.lastW)) {
+		if dirtyN == 0 || deltaMatchesPublished(delta, dirty, d.lastW) {
 			// Nothing touched, or every touched cell is either still below
 			// the sample floor or left its published mean unchanged — the
-			// patch would be an identity. Don't mint a weight-identical
-			// epoch (withheld cells re-mark themselves dirty on the sample
-			// that tips them over).
-			return d.epoch
+			// patch would be an identity (withheld cells re-mark themselves
+			// dirty on the sample that tips them over).
+			return false
 		}
 		var err error
-		g2, err = e.decG.PatchReweighted(d.lastGraph, delta, dirty)
-		if err != nil {
-			// Defensive: the chain anchor went stale (cannot happen through
-			// this code path, but a full rebuild is always correct).
-			full := d.learner.WeightsFull(d.minSamples)
-			g2 = e.decG.Reweighted(full)
-			d.lastW = full
-		} else {
+		if g2, err = e.decG.PatchReweighted(d.lastGraph, delta, dirty); err == nil {
 			patched = true
 			// Fold the delta rows into the cumulative table so the
 			// learned-cell provenance stays exact at O(dirty) cost.
@@ -150,6 +101,16 @@ func (e *Engine) publishWeightsLocked(now float64, skipIdentity bool) uint64 {
 				}
 			})
 		}
+	}
+	if !patched {
+		// The first epoch (or, defensively, a chain anchor gone stale):
+		// full table, full rebuild.
+		w := d.learner.WeightsFull(d.minSamples)
+		if w.Cells() == 0 {
+			return false
+		}
+		g2 = e.decG.Reweighted(w)
+		d.lastW = w
 	}
 	d.lastGraph = g2
 	d.epoch++
@@ -181,7 +142,7 @@ func (e *Engine) publishWeightsLocked(now float64, skipIdentity bool) uint64 {
 		}
 		eo.gEpoch.Set(float64(d.epoch))
 	}
-	return d.epoch
+	return true
 }
 
 // deltaMatchesPublished reports whether every dirty edge's delta row is
@@ -200,86 +161,6 @@ func deltaMatchesPublished(delta *roadnet.SlotWeights, dirty *roadnet.DirtyCells
 		}
 	})
 	return same
-}
-
-// CheckpointWeights writes the streaming learner's accumulated travel-time
-// state (deterministic JSON) — the engine side of multi-day weight
-// persistence. Checkpoint after a learning day, feed the bytes to a fresh
-// engine's RestoreWeights the next day (or after a restart) and the learner
-// resumes averaging exactly where it stopped. Safe to call from any
-// goroutine, concurrently with rounds and publishes.
-func (e *Engine) CheckpointWeights(w io.Writer) error {
-	if e.dyn == nil {
-		return ErrStaticRoadnet
-	}
-	return e.dyn.learner.SaveState(w)
-}
-
-// RestoreWeights merges a CheckpointWeights document into the engine's
-// learner and publishes an immediate epoch, so the restored knowledge
-// reaches every zone shard's router before the next round instead of
-// waiting out a refresh period. Returns the served epoch and whether a new
-// epoch was actually published — false when every restored cell is still
-// below the engine's MinSamples floor (or changes nothing the routers can
-// observe), in which case shards keep serving their current weights until
-// further observations tip a cell over.
-func (e *Engine) RestoreWeights(r io.Reader) (uint64, bool, error) {
-	if e.dyn == nil {
-		return 0, false, ErrStaticRoadnet
-	}
-	if err := e.dyn.learner.LoadState(r); err != nil {
-		return 0, false, err
-	}
-	e.dyn.mu.Lock()
-	defer e.dyn.mu.Unlock()
-	before := e.dyn.epoch
-	// skipIdentity: a restore whose cells are all withheld (or identical to
-	// the published table) must not mint a weight-identical epoch — that is
-	// the documented "nothing published" outcome.
-	after := e.publishWeightsLocked(math.Float64frombits(e.clockBits.Load()), true)
-	return after, after > before, nil
-}
-
-// ImportWeights publishes an externally learned weight table as a fresh
-// epoch on every zone shard — bootstrapping decisions from persisted
-// weights without feeding the learner. Note the learner's own periodic
-// publishes replace imported epochs wholesale (the import breaks the
-// incremental patch chain, so the next learner publish is a full rebuild);
-// when the engine should keep accumulating on top of the imported
-// knowledge, restore the learner state with RestoreWeights instead.
-func (e *Engine) ImportWeights(w *roadnet.SlotWeights) (uint64, error) {
-	if e.dyn == nil {
-		return 0, ErrStaticRoadnet
-	}
-	if w == nil || w.Cells() == 0 {
-		return 0, errors.New("engine: no weight cells to import")
-	}
-	e.dyn.mu.Lock()
-	defer e.dyn.mu.Unlock()
-	d := e.dyn
-	start := time.Now()
-	g2 := e.decG.Reweighted(w)
-	d.lastGraph, d.lastW = nil, nil
-	d.epoch++
-	snap := roadnet.Snapshot{
-		Epoch:        d.epoch,
-		Graph:        g2,
-		LearnedEdges: w.Edges(),
-		LearnedCells: w.Cells(),
-		PublishedAt:  math.Float64frombits(e.clockBits.Load()),
-	}
-	for _, sr := range e.shards {
-		sr.router.Publish(snap)
-	}
-	// Imports are always whole-table rebuilds: count them as full.
-	e.totals.publishesFull.Inc()
-	d.learnedEdges = w.Edges()
-	d.learnedCells = w.Cells()
-	if eo := e.eo; eo != nil {
-		eo.pubFull.Observe(time.Since(start).Seconds())
-		eo.gEpoch.Set(float64(d.epoch))
-	}
-	return d.epoch, nil
 }
 
 // currentEpoch reports the weight epoch the engine currently serves (0 for
@@ -350,7 +231,7 @@ func metricStatser(r roadnet.Router) (roadnet.MetricStatser, bool) {
 }
 
 // Roadnet snapshots the dynamic road network plane. Safe to call from any
-// goroutine, concurrently with rounds and publishes.
+// goroutine, concurrently with rounds.
 func (e *Engine) Roadnet() RoadnetStatus {
 	clock := math.Float64frombits(e.clockBits.Load())
 	st := RoadnetStatus{

@@ -176,18 +176,25 @@ func TestQuietRefreshSkipsIdenticalEpochs(t *testing.T) {
 		}
 	}
 
-	// A *forced* refresh publishes regardless — even when the only dirty
-	// cells are below the floor (the skip is a periodic-path optimisation,
-	// not a change to the RefreshWeights contract).
+	// A refresh is due only a full period after the last attempt: fresh
+	// above-floor dirt waits for it.
 	e2 := city.G.OutEdges(2)[0]
-	learner.ObserveEdge(2, e2.To, 10*3600+1000, 70)
-	if ep, ok := e.RefreshWeights(); !ok || ep != 3 {
-		t.Fatalf("forced refresh with below-floor dirt: epoch %d (%v), want 3 (true)", ep, ok)
+	for i := 0; i < 3; i++ {
+		learner.ObserveEdge(2, e2.To, 10*3600+float64(910+i*10), 70)
+	}
+	e.Step(10*3600 + 950)
+	if st := e.Roadnet(); st.Epoch != 2 {
+		t.Fatalf("refresh before the period elapsed: %+v", st)
+	}
+	e.Step(10*3600 + 1000)
+	if st := e.Roadnet(); st.Epoch != 3 || st.Publishes != 3 {
+		t.Fatalf("due refresh after the period: %+v", st)
 	}
 }
 
-// TestRefreshWeights covers the forced-publish path: static engines refuse,
-// dynamic engines publish exactly when the learner has admissible cells.
+// TestRefreshWeights covers the periodic publish path: static engines never
+// publish; dynamic engines publish exactly when the learner has admissible
+// cells whose estimates the served epoch does not already carry.
 func TestRefreshWeights(t *testing.T) {
 	city := testCityB
 	fleet := city.Fleet(0.2, 3, 1)
@@ -196,37 +203,47 @@ func TestRefreshWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ep, ok := static.RefreshWeights(); ep != 0 || ok {
-		t.Fatalf("static engine published epoch %d (%v)", ep, ok)
+	if st := static.Step(12 * 3600); st.Epoch != 0 {
+		t.Fatalf("static engine served epoch %d", st.Epoch)
 	}
-	if st := static.Roadnet(); st.Dynamic || st.Epoch != 0 {
+	if st := static.Roadnet(); st.Dynamic || st.Epoch != 0 || st.Publishes != 0 {
 		t.Fatalf("static roadnet status %+v", st)
 	}
 
 	learner := gps.NewStreamLearner(city.G, gps.StreamOptions{})
-	dyn, err := New(city.G, fleet, Config{Pipeline: testConfig(), Learner: learner, MinSamples: 1})
+	dyn, err := New(city.G, city.Fleet(0.2, 3, 1), Config{
+		Pipeline: testConfig(), Shards: 2,
+		Learner: learner, WeightRefreshSec: 60, MinSamples: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Nothing learned yet: refresh runs but publishes no epoch.
-	if ep, ok := dyn.RefreshWeights(); ep != 0 || ok {
-		t.Fatalf("empty learner published epoch %d (%v)", ep, ok)
+	// Nothing learned yet: the due refresh runs but publishes no epoch.
+	if st := dyn.Step(12 * 3600); st.Epoch != 0 {
+		t.Fatalf("empty learner published epoch %d", st.Epoch)
 	}
-	var u roadnet.NodeID
 	e0 := city.G.OutEdges(0)[0]
-	learner.ObserveEdge(u, e0.To, 12*3600, 123)
-	if ep, ok := dyn.RefreshWeights(); ep != 1 || !ok {
-		t.Fatalf("refresh after a sample: epoch %d (%v), want 1 (true)", ep, ok)
+	learner.ObserveEdge(0, e0.To, 12*3600, 123)
+	if st := dyn.Step(12*3600 + 60); st.Epoch != 1 {
+		t.Fatalf("refresh after a sample: epoch %d, want 1", st.Epoch)
 	}
-	// Published epoch is visible on every shard immediately.
+	// The published epoch is what every shard serves.
 	for _, sr := range dyn.shards {
 		if sr.router.Epoch() != 1 {
-			t.Fatalf("shard %d epoch %d after forced refresh", sr.id, sr.router.Epoch())
+			t.Fatalf("shard %d epoch %d after refresh", sr.id, sr.router.Epoch())
 		}
 	}
-	if ep, ok := dyn.RefreshWeights(); !ok || ep != 2 {
-		// A second refresh with the same cells still publishes a fresh
-		// epoch (estimates may have moved; the engine does not diff).
-		t.Fatalf("second refresh: epoch %d (%v)", ep, ok)
+	// A sample that leaves the cell's mean where it was changes nothing a
+	// router can observe: no epoch. One that moves it publishes.
+	learner.ObserveEdge(0, e0.To, 12*3600+10, 123)
+	if st := dyn.Step(12*3600 + 120); st.Epoch != 1 {
+		t.Fatalf("unchanged estimate minted epoch %d", st.Epoch)
+	}
+	learner.ObserveEdge(0, e0.To, 12*3600+20, 87)
+	if st := dyn.Step(12*3600 + 180); st.Epoch != 2 {
+		t.Fatalf("moved estimate: epoch %d, want 2", st.Epoch)
+	}
+	if st := dyn.Roadnet(); st.Publishes != 2 || st.PatchedPublishes != 1 {
+		t.Fatalf("roadnet status after two publishes: %+v", st)
 	}
 }

@@ -98,11 +98,6 @@ type Config struct {
 	// QueueSize bounds each ingestion queue (orders, vehicle pings);
 	// 0 defaults to 4096. Producers get ErrQueueFull beyond it.
 	QueueSize int
-	// BoundaryM is the cross-shard handoff margin in metres: an order whose
-	// restaurant lies within this distance of a neighbouring zone may be
-	// handed to that zone when it is under less pressure (see round.go).
-	// 0 defaults to 800 m.
-	BoundaryM float64
 	// NewRouter constructs the shortest-path backend one zone shard's
 	// pipeline consumes (called once per shard, so instances need not be
 	// safe for concurrent use). Nil defaults to a bounded-SSSP distance
@@ -308,12 +303,13 @@ type Engine struct {
 	orderCh chan queuedOrder
 	pingCh  chan vehiclePing
 
-	// walMu makes WAL-append + channel-send atomic per producer: with the
-	// consumer only ever shrinking the channels, a capacity check under the
-	// mutex guarantees the send cannot block, and the atomicity guarantees
-	// channel order equals WAL sequence order per kind — the invariant the
-	// drained high-waters (walOrderSeq/walPingSeq, owned by roundMu) rely on
-	// for exact-once replay.
+	// walMu makes WAL-append + channel-send + ingested count atomic per
+	// producer: with the consumer only ever shrinking the channels, a
+	// capacity check under the mutex guarantees the send cannot block, and
+	// the atomicity guarantees channel order equals WAL sequence order per
+	// kind — the invariant the drained high-waters (walOrderSeq/walPingSeq,
+	// owned by roundMu) rely on for exact-once replay — and lets a
+	// checkpoint leave the still-queued records out of its ingested totals.
 	walMu sync.Mutex
 	// walOrderSeq / walPingSeq are the per-kind drained high-waters: every
 	// WAL record of that kind with seq <= the high-water has been applied to
@@ -327,8 +323,8 @@ type Engine struct {
 	// owns its shardState outright, and roundMu is what keeps the serial
 	// sections (queue drain, cross-shard handoff barrier, application) from
 	// interleaving with another round. Unlike the old engine-wide world
-	// mutex, nothing on the metrics plane (Snapshot, Clock, Roadnet,
-	// RefreshWeights) ever takes it.
+	// mutex, nothing on the metrics plane (Snapshot, Clock, Roadnet) ever
+	// takes it.
 	roundMu sync.Mutex
 	motions []*sim.Motion // stable fleet order (owned by roundMu)
 	byID    map[model.VehicleID]*sim.Motion
@@ -358,8 +354,8 @@ type Engine struct {
 	// /roadnet surface read it lock-free.
 	shardEpoch atomic.Uint64
 
-	// clockBits mirrors clock for lock-free readers (RefreshWeights and
-	// Roadnet must not wait out a round).
+	// clockBits mirrors clock for lock-free readers (Clock and Roadnet
+	// must not wait out a round).
 	clockBits atomic.Uint64
 	// futureLen mirrors len(future) for lock-free Snapshot reads
 	// (Metrics.ScheduledDepth).
@@ -402,9 +398,6 @@ func New(g *roadnet.Graph, fleet []*model.Vehicle, cfg Config) (*Engine, error) 
 	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 4096
-	}
-	if cfg.BoundaryM <= 0 {
-		cfg.BoundaryM = 800
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -550,9 +543,6 @@ func (e *Engine) unhomeMotion(rt *motionRt) {
 	st.vehLen.Store(int64(last))
 }
 
-// Shards returns the zone-shard count K.
-func (e *Engine) Shards() int { return e.cfg.Shards }
-
 // SubmitOrder enqueues an order placement. Orders with PlacedAt <= 0 are
 // stamped with the engine clock at admission; orders with PlacedAt beyond
 // the clock are held until the window that covers them (scheduled orders).
@@ -616,8 +606,8 @@ func (e *Engine) submitOrderWAL(o *model.Order) error {
 		return fmt.Errorf("engine: order %d wal append: %w", o.ID, err)
 	}
 	e.orderCh <- queuedOrder{o: o, seq: seq}
-	e.walMu.Unlock()
 	e.totals.ingested.Inc()
+	e.walMu.Unlock()
 	return nil
 }
 
@@ -679,18 +669,9 @@ func (e *Engine) pingWAL(p vehiclePing) error {
 	}
 	p.seq = seq
 	e.pingCh <- p
-	e.walMu.Unlock()
 	e.totals.pingsIngested.Inc()
+	e.walMu.Unlock()
 	return nil
-}
-
-// VehicleIDs lists the fleet (stable after New).
-func (e *Engine) VehicleIDs() []model.VehicleID {
-	ids := make([]model.VehicleID, 0, len(e.motions))
-	for _, mo := range e.motions {
-		ids = append(ids, mo.V.ID)
-	}
-	return ids
 }
 
 // Clock returns the engine's simulation clock (the end of the last round).

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -312,17 +313,18 @@ func TestCrossShardHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find a restaurant in shard 1 and park every vehicle in shard 0; the
-	// starved home zone must hand the order off to the supplied one.
+	// Find a shard-1 restaurant within the handoff margin of shard 0 and
+	// park every vehicle in shard 0; the starved home zone must hand the
+	// order off to the supplied one.
 	var rest roadnet.NodeID = roadnet.Invalid
 	for _, r := range city.Restaurants {
-		if e.sh.shardOf(r) == 1 {
+		if e.sh.shardOf(r) == 1 && slices.Contains(e.sh.nearShards(nil, city.G.Point(r), 1, boundaryM), 0) {
 			rest = r
 			break
 		}
 	}
 	if rest == roadnet.Invalid {
-		t.Skip("no restaurant in shard 1")
+		t.Skip("no shard-1 restaurant near shard 0")
 	}
 	// Park in shard 0 as close to the restaurant as possible so the first
 	// mile stays feasible and only the zone boundary separates them.
@@ -340,7 +342,7 @@ func TestCrossShardHandoff(t *testing.T) {
 		}
 	}
 	fleet := []*model.Vehicle{model.NewVehicle(1, park, 3), model.NewVehicle(2, park, 3)}
-	e, err = New(city.G, fleet, Config{Pipeline: testConfig(), Shards: 2, BoundaryM: 1e9})
+	e, err = New(city.G, fleet, Config{Pipeline: testConfig(), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/json"
 	"sync"
 	"testing"
 
@@ -167,13 +165,12 @@ func TestVehicleCrossShardHandoffExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestStepConcurrentCheckpoint is the weight-persistence race gauntlet the
-// shard-resident refactor must keep safe: deterministic Steps race against
-// concurrent CheckpointWeights / RestoreWeights / ImportWeights and metric
-// readers. Every checkpoint taken mid-round must be a complete, parseable
-// document (the learner's state is snapshotted under one lock — never a
-// torn epoch), and every import must leave the engine serving a strictly
-// newer epoch.
+// TestStepConcurrentCheckpoint is the checkpoint race gauntlet the
+// shard-resident engine must keep safe: deterministic Steps, publishing
+// weight epochs at their barrier, race against learner observations, pings,
+// full checkpoints and metric readers. Every checkpoint taken while rounds
+// run must be a complete, parseable document, and no reader may see the
+// weight epoch go backwards.
 func TestStepConcurrentCheckpoint(t *testing.T) {
 	city := testCityB
 	learner := gps.NewStreamLearner(city.G, gps.StreamOptions{})
@@ -191,76 +188,8 @@ func TestStepConcurrentCheckpoint(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-
-	// Checkpoint reader: every snapshot must decode as a learner state.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			var buf bytes.Buffer
-			if err := e.CheckpointWeights(&buf); err != nil {
-				t.Errorf("checkpoint: %v", err)
-				return
-			}
-			var doc struct {
-				Version int `json:"version"`
-			}
-			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-				t.Errorf("checkpoint %d not parseable: %v", i, err)
-				return
-			}
-			if doc.Version != 1 {
-				t.Errorf("checkpoint %d version %d", i, doc.Version)
-				return
-			}
-		}
-	}()
-
-	// Importer: external tables and checkpoint restores land mid-round.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		e0 := city.G.OutEdges(0)[0]
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			w := roadnet.NewSlotWeights()
-			if err := w.Set(0, e0.To, i%roadnet.SlotsPerDay, 30+float64(i%60)); err != nil {
-				t.Errorf("set: %v", err)
-				return
-			}
-			before := e.Roadnet().Epoch
-			if ep, err := e.ImportWeights(w); err != nil {
-				t.Errorf("import: %v", err)
-				return
-			} else if ep <= before {
-				t.Errorf("import served epoch %d after %d", ep, before)
-				return
-			}
-			// Self-restoring a checkpoint doubles every accumulator (merge
-			// semantics), so cap the restore cycles well below the int32
-			// overflow bound ImportState now enforces.
-			if i < 16 {
-				var buf bytes.Buffer
-				if err := e.CheckpointWeights(&buf); err != nil {
-					t.Errorf("checkpoint for restore: %v", err)
-					return
-				}
-				if _, _, err := e.RestoreWeights(bytes.NewReader(buf.Bytes())); err != nil {
-					t.Errorf("restore: %v", err)
-					return
-				}
-			}
-		}
-	}()
+	observeTraffic(e, learner, fleet, start, stop, &wg)
+	watchEpochs(t, e, stop, &wg)
 
 	// Metrics readers over the lock-free surfaces.
 	wg.Add(1)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -12,13 +13,80 @@ import (
 	"repro/internal/workload"
 )
 
+// watchEpochs starts a reader that, until stop closes, polls Snapshot,
+// Roadnet and a full WriteCheckpoint in turn: every checkpoint must parse
+// with ReadCheckpoint, and no surface may report a weight epoch older than
+// one already seen.
+func watchEpochs(t *testing.T, e *Engine, stop <-chan struct{}, wg *sync.WaitGroup) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var seen uint64
+		see := func(what string, ep uint64) bool {
+			if ep < seen {
+				t.Errorf("%s epoch went backwards: %d after %d", what, ep, seen)
+				return false
+			}
+			seen = ep
+			return true
+		}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if !see("snapshot", e.Snapshot().WeightEpoch) || !see("roadnet", e.Roadnet().Epoch) {
+				return
+			}
+			var buf bytes.Buffer
+			if _, err := e.WriteCheckpoint(&buf); err != nil {
+				t.Errorf("checkpoint: %v", err)
+				return
+			}
+			doc, err := ReadCheckpoint(&buf)
+			if err != nil {
+				t.Errorf("checkpoint not parseable: %v", err)
+				return
+			}
+			if !see("checkpoint", doc.Epoch) {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+}
+
+// observeTraffic starts a goroutine that, until stop closes, feeds the
+// learner moving estimates on a few edges — the dirt each due refresh
+// publishes — and pings the fleet.
+func observeTraffic(e *Engine, learner *gps.StreamLearner, fleet []*model.Vehicle, t0 float64, stop <-chan struct{}, wg *sync.WaitGroup) {
+	g := learner.Graph()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			u := roadnet.NodeID(i % 16)
+			learner.ObserveEdge(u, g.OutEdges(u)[0].To, t0+float64(i%600), 25+float64(i%7))
+			_ = e.PingVehicle(fleet[i%len(fleet)].ID, roadnet.NodeID(i%g.NumNodes()))
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+}
+
 // TestEngineConcurrentIngestAndSwap is the engine's -race gauntlet: the
-// real-time window clock runs under StartContext while producer goroutines
-// hammer order submission and vehicle pings, a traffic goroutine forces
-// mid-round weight-epoch swaps, and reader goroutines poll every metrics
-// surface. No assertion beyond "the race detector stays quiet and the
-// engine makes progress" — which is exactly the contract the lock-free
-// snapshot plane must honour.
+// real-time window clock runs under StartContext — its rounds publishing a
+// weight epoch whenever the learner moved — while producer goroutines
+// hammer order submission and vehicle pings, a traffic goroutine feeds the
+// learner, and reader goroutines poll every metrics surface and write full
+// checkpoints. Beyond "the race detector stays quiet and the engine makes
+// progress", every checkpoint parses and no reader sees an epoch go
+// backwards.
 func TestEngineConcurrentIngestAndSwap(t *testing.T) {
 	city := testCityB
 	learner := gps.NewStreamLearner(city.G, gps.StreamOptions{})
@@ -39,7 +107,6 @@ func TestEngineConcurrentIngestAndSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := e.VehicleIDs()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -84,7 +151,7 @@ func TestEngineConcurrentIngestAndSwap(t *testing.T) {
 					return
 				default:
 				}
-				id := ids[i%len(ids)]
+				id := fleet[i%len(fleet)].ID
 				_ = e.PingVehicle(id, roadnet.NodeID(i%city.G.NumNodes()))
 				if i%17 == 0 {
 					_ = e.SetVehicleShift(id, start, start+4*3600)
@@ -94,22 +161,8 @@ func TestEngineConcurrentIngestAndSwap(t *testing.T) {
 		}(p)
 	}
 
-	// Traffic plane: forced mid-round epoch swaps.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			learner.ObserveEdge(roadnet.NodeID(i%16), city.G.OutEdges(roadnet.NodeID(i % 16))[0].To,
-				start+float64(i), 30)
-			e.RefreshWeights()
-			time.Sleep(time.Millisecond)
-		}
-	}()
+	observeTraffic(e, learner, fleet, start, stop, &wg)
+	watchEpochs(t, e, stop, &wg)
 
 	// Readers over every concurrent surface.
 	wg.Add(1)
@@ -153,9 +206,11 @@ func TestEngineConcurrentIngestAndSwap(t *testing.T) {
 	}
 }
 
-// TestEngineStepConcurrentRefresh drives deterministic Steps while another
-// goroutine forces weight publishes — the mid-round swap path with no
-// real-time clock involved (fast enough for -race on every CI run).
+// TestEngineStepConcurrentRefresh drives deterministic Steps that publish a
+// weight epoch every round the learner moved, while other goroutines feed
+// the learner, ping the fleet and read every surface, checkpoints included
+// — the publish path with no real-time clock involved (fast enough for
+// -race on every CI run).
 func TestEngineStepConcurrentRefresh(t *testing.T) {
 	city := testCityB
 	learner := gps.NewStreamLearner(city.G, gps.StreamOptions{})
@@ -165,27 +220,15 @@ func TestEngineStepConcurrentRefresh(t *testing.T) {
 	e, err := New(city.G, fleet, Config{
 		Pipeline: testConfig(), Shards: 2,
 		QueueSize: len(orders) + 16,
-		Learner:   learner, WeightRefreshSec: 1e12, MinSamples: 1,
+		Learner:   learner, WeightRefreshSec: 60, MinSamples: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			learner.ObserveEdge(roadnet.NodeID(i%8), city.G.OutEdges(roadnet.NodeID(i % 8))[0].To,
-				start+float64(i%600), 25)
-			e.RefreshWeights()
-		}
-	}()
+	observeTraffic(e, learner, fleet, start, stop, &wg)
+	watchEpochs(t, e, stop, &wg)
 	next := 0
 	delta := e.cfg.Pipeline.Delta
 	for now := start + delta; now < start+3600; now += delta {
@@ -200,6 +243,6 @@ func TestEngineStepConcurrentRefresh(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	if ep := e.Roadnet().Epoch; ep == 0 {
-		t.Fatal("no epoch published during concurrent refresh")
+		t.Fatal("no epoch published during concurrent ingest")
 	}
 }

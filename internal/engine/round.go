@@ -30,9 +30,8 @@ import (
 //	         strip reshuffleable orders, build the zone's vehicle set
 //	serial   handoff barrier: publish due weight epochs, re-home vehicles
 //	         that crossed a zone boundary, run a due demand-driven shard
-//	         re-split (migrating residency exactly-once and warming the new
-//	         zones' distance caches), partition the round's orders
-//	         (pressure-based boundary handoff)
+//	         re-split (migrating residency exactly-once), partition the
+//	         round's orders (pressure-based boundary handoff)
 //	parallel per shard: the assignment pipeline (batching → FoodGraph →
 //	         matching) on the shard's pinned weight epoch
 //	serial   apply decisions, restore unplaced reshuffled orders
@@ -396,11 +395,9 @@ func (e *Engine) runRound(ctx context.Context, t0, now, drainSec float64) RoundS
 		wg.Add(1)
 		go func(sr *shardState, w *shardWork) {
 			defer wg.Done()
-			// Pin the current weight epoch for the whole round: the
-			// snapshot's graph and Router stay mutually consistent even if
-			// a weight publish lands mid-round (the next round picks the
-			// new epoch up), and the per-query hot path pays no atomic
-			// load at all.
+			// Pin the epoch the barrier left for the whole round: the
+			// snapshot's graph and Router stay mutually consistent, and
+			// the per-query hot path pays no atomic load at all.
 			snap, router := sr.router.Acquire()
 			w.epoch = snap.Epoch
 			t0 := time.Now()
@@ -917,9 +914,14 @@ func (e *Engine) replanParallel(now float64, stripped, assigned, restored map[mo
 	})
 }
 
+// boundaryM is the cross-shard handoff margin in metres: an order whose
+// restaurant lies within it of a neighbouring zone may be handed to that
+// zone (see partitionOrders).
+const boundaryM = 800
+
 // partitionOrders distributes O(ℓ) across the zone shards: every order goes
 // to its restaurant's home zone unless it straddles a boundary (restaurant
-// within BoundaryM of a neighbouring zone) and the neighbour is under less
+// within boundaryM of a neighbouring zone) and the neighbour is under less
 // pressure — fewer orders queued per available vehicle — in which case it is
 // handed off. Returns the handoff count.
 //
@@ -946,7 +948,7 @@ func (e *Engine) partitionOrders(orders []*model.Order, work []shardWork) int {
 		if len(work[home].vehicles) == 0 || len(work[home].orders) >= len(work[home].vehicles) {
 			// Home zone is starved or saturated: consider neighbours the
 			// restaurant can plausibly be served from.
-			near = e.sh.nearShards(near[:0], e.g.Point(o.Restaurant), home, e.cfg.BoundaryM)
+			near = e.sh.nearShards(near[:0], e.g.Point(o.Restaurant), home, boundaryM)
 			bestScore := pressure(&work[home])
 			for _, s := range near {
 				if len(work[s].vehicles) == 0 {

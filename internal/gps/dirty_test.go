@@ -1,7 +1,6 @@
 package gps
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/roadnet"
@@ -56,12 +55,8 @@ func TestWeightsDirtyProtocol(t *testing.T) {
 	}
 
 	// Restored checkpoints count as touched.
-	var buf bytes.Buffer
-	if err := l.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
 	fresh := NewStreamLearner(g, StreamOptions{})
-	if err := fresh.LoadState(&buf); err != nil {
+	if err := loadState(fresh, saveState(t, l)); err != nil {
 		t.Fatal(err)
 	}
 	w, d = fresh.WeightsDirty(2)

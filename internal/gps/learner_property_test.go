@@ -96,8 +96,8 @@ func TestWeightsProperties(t *testing.T) {
 }
 
 // TestSnapshotEpochMonotonicity publishes shuffled epochs at a SwapRouter
-// and verifies the served epoch only ever increases — the property the
-// engine's concurrent RefreshWeights relies on.
+// and verifies the served epoch only ever increases — the property that
+// keeps every shard's served epoch monotone whatever order publishes land in.
 func TestSnapshotEpochMonotonicity(t *testing.T) {
 	g := streamTestGraph(t)
 	r := roadnet.NewSwapRouter(g, func(gr *roadnet.Graph) roadnet.Router {

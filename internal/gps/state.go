@@ -1,9 +1,7 @@
 package gps
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -14,8 +12,8 @@ import (
 // not the derived means but the raw (sum, count) per (edge, slot) cell, so a
 // restored learner keeps averaging new observations into old ones exactly as
 // if it had never stopped. This is what persists travel-time knowledge
-// across the days of a multi-day replay (and across engine restarts, via
-// Engine.CheckpointWeights).
+// across the days of a multi-day replay (and across engine restarts, inside
+// the engine's full checkpoint).
 type LearnerState struct {
 	Version int                `json:"version"`
 	Cells   []LearnerCellState `json:"cells"`
@@ -117,50 +115,17 @@ func (l *SpeedLearner) ImportState(st *LearnerState) error {
 	return nil
 }
 
-// SaveState writes the streaming learner's accumulated estimates as one
-// JSON document (deterministic bytes for identical states). Safe to call
-// concurrently with observation ingest.
-func (l *StreamLearner) SaveState(w io.Writer) error {
-	l.mu.Lock()
-	st := l.base.ExportState()
-	l.mu.Unlock()
-	b, err := json.Marshal(st)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// LoadState merges a SaveState document into the learner (see
-// SpeedLearner.ImportState for the merge and validation semantics).
-func (l *StreamLearner) LoadState(r io.Reader) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	var st LearnerState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("gps: learner state: %w", err)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.base.ImportState(&st)
-}
-
 // State snapshots the streaming learner's accumulators as a typed document
-// (the in-memory form of SaveState) — what the engine embeds in its full
-// checkpoint. Safe to call concurrently with observation ingest.
+// — what the engine embeds in its full checkpoint, and what a caller
+// carries from one day's learner to the next day's. Safe to call concurrently with observation ingest.
 func (l *StreamLearner) State() *LearnerState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.base.ExportState()
 }
 
-// RestoreState merges a State snapshot into the learner (the typed
-// counterpart of LoadState; see SpeedLearner.ImportState for the merge and
-// validation semantics).
+// RestoreState merges a State snapshot into the learner (see
+// SpeedLearner.ImportState for the merge and validation semantics).
 func (l *StreamLearner) RestoreState(st *LearnerState) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -1,8 +1,7 @@
 package gps
 
 import (
-	"bytes"
-	"strings"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/geo"
@@ -22,6 +21,26 @@ func stateChainGraph(n int) *roadnet.Graph {
 	return b.MustBuild()
 }
 
+// saveState encodes the learner's State as JSON — the form the engine's
+// checkpoint document carries it in.
+func saveState(t *testing.T, l *StreamLearner) string {
+	t.Helper()
+	b, err := json.Marshal(l.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// loadState decodes a JSON LearnerState and merges it with RestoreState.
+func loadState(l *StreamLearner, doc string) error {
+	var st LearnerState
+	if err := json.Unmarshal([]byte(doc), &st); err != nil {
+		return err
+	}
+	return l.RestoreState(&st)
+}
+
 func TestLearnerStateRoundTrip(t *testing.T) {
 	g := stateChainGraph(5)
 	l := NewStreamLearner(g, StreamOptions{})
@@ -30,14 +49,10 @@ func TestLearnerStateRoundTrip(t *testing.T) {
 	l.ObserveEdge(1, 2, 19*3600, 80)
 	l.ObserveEdge(3, 4, 86390, 30) // slot 23, just before midnight
 
-	var buf bytes.Buffer
-	if err := l.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	saved := buf.String()
+	saved := saveState(t, l)
 
 	l2 := NewStreamLearner(g, StreamOptions{})
-	if err := l2.LoadState(strings.NewReader(saved)); err != nil {
+	if err := loadState(l2, saved); err != nil {
 		t.Fatal(err)
 	}
 	// The restored learner serves the same estimates…
@@ -58,12 +73,8 @@ func TestLearnerStateRoundTrip(t *testing.T) {
 		t.Fatalf("restored mean = %v/%v, want 60", sec, ok)
 	}
 	// …and exports byte-identical state (determinism for golden pinning).
-	var buf2 bytes.Buffer
-	if err := l2.SaveState(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.String() != saved {
-		t.Fatalf("state export not deterministic:\n%s\nvs\n%s", buf2.String(), saved)
+	if again := saveState(t, l2); again != saved {
+		t.Fatalf("state export not deterministic:\n%s\nvs\n%s", again, saved)
 	}
 }
 
@@ -87,25 +98,14 @@ func TestLearnerStateMerge(t *testing.T) {
 
 	a := NewStreamLearner(g, StreamOptions{})
 	day1(a)
-	var buf bytes.Buffer
-	if err := a.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
 	b := NewStreamLearner(g, StreamOptions{})
-	if err := b.LoadState(&buf); err != nil {
+	if err := loadState(b, saveState(t, a)); err != nil {
 		t.Fatal(err)
 	}
 	day2(b)
 
-	var wantB, gotB bytes.Buffer
-	if err := straight.SaveState(&wantB); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SaveState(&gotB); err != nil {
-		t.Fatal(err)
-	}
-	if gotB.String() != wantB.String() {
-		t.Fatalf("save/load/resume diverges from continuous learning:\n%s\nvs\n%s", gotB.String(), wantB.String())
+	if got, want := saveState(t, b), saveState(t, straight); got != want {
+		t.Fatalf("save/load/resume diverges from continuous learning:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -123,7 +123,7 @@ func TestLearnerStateRejectsBadCheckpoints(t *testing.T) {
 		"node range":   `{"version":1,"cells":[{"from":0,"to":99,"slot":3,"sum":10,"cnt":1}]}`,
 	} {
 		l := NewStreamLearner(g, StreamOptions{})
-		if err := l.LoadState(strings.NewReader(payload)); err == nil {
+		if err := loadState(l, payload); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 		// Rejection must be atomic: nothing merged.

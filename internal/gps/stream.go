@@ -252,9 +252,8 @@ func (l *StreamLearner) DirtyCells() int {
 }
 
 // WeightsFull atomically exports the full admissible table AND resets the
-// dirty set — the publish that (re)starts an incremental patch chain, e.g.
-// the engine's first epoch or the first learner publish after an external
-// ImportWeights replaced the served table wholesale.
+// dirty set — the publish that starts an incremental patch chain (the
+// engine's first epoch).
 func (l *StreamLearner) WeightsFull(minSamples int) *roadnet.SlotWeights {
 	l.mu.Lock()
 	defer l.mu.Unlock()
